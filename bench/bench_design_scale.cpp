@@ -11,9 +11,9 @@
 //     depth N/chains (deep levels), analyzed with the dependency-counted
 //     task-graph wavefront and stage-to-stage glitch propagation, across
 //     the same thread sweep. All sweep margins are cross-checked bitwise
-//     against t=1, the max-thread run is cross-checked bitwise against the
-//     level-barrier mode and reports its scheduler counters (tasks, steals,
-//     ready-frontier high water, per-worker busy fractions), and the count
+//     against t=1 (propagate_margin_diff), the max-thread run reports its
+//     scheduler counters (tasks, steals, ready-frontier high water,
+//     per-worker busy fractions), and the count
 //     of combined-only failures (nets the flat local-only sweep passes but
 //     the propagated verdict fails) is reported;
 //   * windowed: the chained wavefront again with alternating disjoint
@@ -23,7 +23,8 @@
 //     unconstrained-vs-windowed margins;
 //   * cache: the chained wavefront run cold (fresh CharCache), saved to the
 //     snacache file, loaded into a fresh cache, and re-run warm — the warm
-//     run must replace every characterization with a disk hit;
+//     run must replace every characterization with a disk hit (the cache
+//     file and its lock sidecar are removed afterwards);
 //   * eco: `--eco K` drivers near the chain tails are resized in place
 //     (Design::replaceCell) and analyzeDesignIncremental re-solves the
 //     dirty cone against the retained snapshot, timed against the full
@@ -55,6 +56,7 @@
 #include "interconnect/parallel_bus.hpp"
 #include "parser/verilog_parser.hpp"
 #include "parser/windows_parser.hpp"
+#include "testsupport/oracles.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -190,6 +192,17 @@ std::string designToVerilog(const core::Design& design,
     return os.str();
 }
 
+/// Removes a snacache file and its advisory-lock sidecar (`<path>.lock`,
+/// which CharCache never deletes) when the scope ends, early returns
+/// included: the bench leaves nothing in the working directory.
+struct CacheFileCleanup {
+    std::string path;
+    ~CacheFileCleanup() {
+        std::remove(path.c_str());
+        std::remove((path + ".lock").c_str());
+    }
+};
+
 double seconds(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          t0)
@@ -257,9 +270,6 @@ struct Row {
     /// smoke check asserts exactly that.
     std::size_t quarantinedTasks = 0;
     bool cancelled = false;
-    /// Task-graph vs level-barrier wavefront at the max thread count; the
-    /// scheduler's determinism contract makes this exactly 0.
-    double barrierMarginDiff = 0.0;
     std::size_t propagationRuns = 0;
     std::size_t combinedOnlyFails = 0;  ///< fails only with propagation
     double maxMarginDrop = 0.0;  ///< worst local-minus-combined margin, V
@@ -456,13 +466,12 @@ int main(int argc, char** argv) {
             }
         }
 
-        // Propagated wavefront across the same thread sweep (task-graph
-        // scheduling); the max-thread run also reports its scheduler
-        // counters and is cross-checked bitwise against the level-barrier
-        // mode it replaced.
+        // Propagated wavefront across the same thread sweep, cross-checked
+        // bitwise against the serial (t=1) run; the max-thread run also
+        // reports its scheduler counters.
         core::DesignNoiseOptions popt = opt;
         popt.propagate = true;
-        std::vector<core::NetNoiseReport> prop1, propMax;
+        std::vector<core::NetNoiseReport> prop1;
         for (std::size_t k = 0; k < threadsSweep.size(); ++k) {
             charlib::CharCache pcache;
             popt.cache = &pcache;
@@ -491,7 +500,6 @@ int main(int argc, char** argv) {
             if (threadsSweep[k] == 1) row.prop1Sec = row.sweep[k].propSec;
             if (threadsSweep[k] == 4) row.prop4Sec = row.sweep[k].propSec;
             if (last) {
-                propMax = rep;
                 row.schedTasks = sched.tasksExecuted;
                 row.schedSteals = sched.steals;
                 row.schedMaxReady = sched.maxReadyDepth;
@@ -504,18 +512,6 @@ int main(int argc, char** argv) {
         popt.schedulerStats = nullptr;
         if (row.prop1Sec == 0.0) row.prop1Sec = row.sweep.front().propSec;
         if (row.prop4Sec == 0.0) row.prop4Sec = row.sweep.back().propSec;
-
-        // Barrier cross-check at the max thread count: the dependency-
-        // counted scheduler must be bit-identical to the level barrier.
-        {
-            charlib::CharCache bcache;
-            popt.cache = &bcache;
-            popt.threads = threadsSweep.back();
-            popt.wavefront = core::WavefrontMode::levelBarrier;
-            const auto barrier = core::analyzeDesign(chained, chainSpef, popt);
-            row.barrierMarginDiff = maxMarginDiff(propMax, barrier);
-            popt.wavefront = core::WavefrontMode::taskGraph;
-        }
 
         // ---- timing-windows variant --------------------------------------
         // Disjoint switching slots in blocks of two (n0,n1 early; n2,n3
@@ -568,6 +564,7 @@ int main(int argc, char** argv) {
         // zero characterization work — disk hits replace every run.
         const std::string cachePath =
             "bench_design_scale_" + std::to_string(n) + ".snacache.tmp";
+        const CacheFileCleanup cacheCleanup{cachePath};
         core::DesignNoiseOptions copt = popt;
         copt.threads = threadsSweep.back();
         std::vector<core::NetNoiseReport> cacheCold;
@@ -609,7 +606,6 @@ int main(int argc, char** argv) {
                 return 1;
             }
         }
-        std::remove(cachePath.c_str());
 
         // ---- incremental ECO re-analysis -----------------------------------
         // Retain a snapshot of the cold full run, resize `eco` drivers near
@@ -679,7 +675,7 @@ int main(int argc, char** argv) {
 
     util::Table ptable({"Nets", "Levels", "Lint (s)", "Lint E/W/I",
                         "Prop sweep t:s", "Max |dMargin| sweep (V)",
-                        "Barrier |dMargin| (V)", "Prop-table runs",
+                        "Prop-table runs",
                         "Max margin drop (V)", "Combined-only fails"});
     for (const auto& r : rows) {
         std::ostringstream sw;
@@ -693,7 +689,6 @@ int main(int argc, char** argv) {
                            std::to_string(r.lintWarnings) + "/" +
                            std::to_string(r.lintInfos),
                        sw.str(), util::Table::num(r.propMarginDiff, 12),
-                       util::Table::num(r.barrierMarginDiff, 12),
                        std::to_string(r.propagationRuns),
                        util::Table::num(r.maxMarginDrop, 3),
                        std::to_string(r.combinedOnlyFails)});
@@ -804,7 +799,6 @@ int main(int argc, char** argv) {
             "\"lint_warnings\": %zu, \"lint_infos\": %zu, "
             "\"propagate_t1_sec\": %.4f, "
             "\"propagate_t4_sec\": %.4f, \"propagate_margin_diff\": %.3e, "
-            "\"barrier_margin_diff\": %.3e, "
             "\"scheduler_tasks\": %zu, \"scheduler_steals\": %zu, "
             "\"scheduler_max_ready_depth\": %zu, "
             "\"scheduler_busy_fraction\": [%s], "
@@ -828,7 +822,7 @@ int main(int argc, char** argv) {
             r.opt4Sec, speedupStr.c_str(), r.marginDiff, r.loadCurveRuns,
             r.nrcRuns, sweepJson.str().c_str(), r.levels, r.lintSec,
             r.lintErrors, r.lintWarnings, r.lintInfos, r.prop1Sec,
-            r.prop4Sec, r.propMarginDiff, r.barrierMarginDiff, r.schedTasks,
+            r.prop4Sec, r.propMarginDiff, r.schedTasks,
             r.schedSteals, r.schedMaxReady, busyJson.str().c_str(),
             r.quarantinedTasks, r.cancelled ? "true" : "false",
             r.propagationRuns, r.maxMarginDrop, r.combinedOnlyFails,

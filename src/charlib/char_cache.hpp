@@ -149,6 +149,13 @@ public:
     /// retry budget degrades to the (still safe) unlocked protocol. The
     /// format itself is locale-independent (hex floats via std::to_chars),
     /// so a cache written under any LC_NUMERIC loads anywhere.
+    ///
+    /// Lock sidecar lifetime (save and load alike): `path + ".lock"` is
+    /// created on first use and never deleted by the cache. It holds no
+    /// data, but unlinking it while another process holds or waits on the
+    /// lock would let the next writer lock a fresh inode and race the
+    /// holder. Whoever owns the cache file's lifetime removes the sidecar
+    /// along with it, once no other process can still be using the file.
     PersistResult save(const std::string& path) const;
 
     /// Warm-start from a file written by save(): inserts every readable
@@ -161,7 +168,8 @@ public:
     /// PersistResult::corrupt / Stats::corruptRecords and summarized in one
     /// util/log warning per file). Legacy "snacache v1" files (no CRCs)
     /// still load read-only. Keys from another technology or grid simply
-    /// never hit.
+    /// never hit. Takes the same `path + ".lock"` sidecar as save(), with
+    /// the same lifetime.
     PersistResult load(const std::string& path);
 
     void clear();

@@ -25,12 +25,16 @@ double clampTo(double t, const Axis& ax) {
     return std::min(std::max(t, ax.lo), ax.hi);
 }
 
-// Initial guess: align every contributor's estimated peak time at a common
-// instant T (far enough from t=0 for settling).
-struct InitialTimes {
-    std::vector<double> agg;
-    double glitch;
-};
+double objective(const ClusterMacromodel& model,
+                 const std::vector<double>& aggTimes, double glitchTime,
+                 NoiseResult* out) {
+    NoiseResult r = model.analyzeAt(aggTimes, glitchTime);
+    const double value = std::abs(r.metrics.peak);
+    if (out != nullptr) *out = std::move(r);
+    return value;
+}
+
+}  // namespace
 
 InitialTimes peakAlignedInit(const ClusterMacromodel& model) {
     const ClusterSpec& spec = model.spec();
@@ -45,17 +49,6 @@ InitialTimes peakAlignedInit(const ClusterMacromodel& model) {
     init.glitch = tCenter - 0.5 * spec.victim.glitchWidth;
     return init;
 }
-
-double objective(const ClusterMacromodel& model,
-                 const std::vector<double>& aggTimes, double glitchTime,
-                 NoiseResult* out) {
-    NoiseResult r = model.analyzeAt(aggTimes, glitchTime);
-    const double value = std::abs(r.metrics.peak);
-    if (out != nullptr) *out = std::move(r);
-    return value;
-}
-
-}  // namespace
 
 AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
                                    const AlignmentOptions& opt) {
@@ -184,56 +177,6 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
     }
     log::debug() << "alignment search: " << best.evaluations
                  << " evaluations, worst peak " << best.worst.metrics.peak;
-    return best;
-}
-
-AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
-                                         double window, int pointsPerAxis) {
-    SNA_REQUIRE(pointsPerAxis >= 2, "grid needs >= 2 points per axis");
-    const ClusterSpec& spec = model.spec();
-    const bool hasGlitch = spec.victim.glitchHeight > 0.0;
-    const InitialTimes init = peakAlignedInit(model);
-    const std::size_t vars = init.agg.size() + (hasGlitch ? 1 : 0);
-    SNA_REQUIRE(vars >= 1, "nothing to align");
-
-    std::vector<int> idx(vars, 0);
-    AlignmentResult best;
-    double bestVal = -1.0;
-    bool done = false;
-    while (!done) {
-        std::vector<double> aggTimes = init.agg;
-        double glitchTime = init.glitch;
-        for (std::size_t v = 0; v < vars; ++v) {
-            const double center =
-                (hasGlitch && v == init.agg.size()) ? init.glitch
-                                                    : init.agg[v];
-            const double t = center - 0.5 * window +
-                             window * idx[v] / (pointsPerAxis - 1);
-            if (hasGlitch && v == init.agg.size()) {
-                glitchTime = std::max(t, 0.0);
-            } else {
-                aggTimes[v] = std::max(t, 0.0);
-            }
-        }
-        NoiseResult r;
-        const double val = objective(model, aggTimes, glitchTime, &r);
-        ++best.evaluations;
-        if (val > bestVal) {
-            bestVal = val;
-            best.aggressorSwitchTimes = aggTimes;
-            best.glitchTime = glitchTime;
-            best.worst = std::move(r);
-        }
-        // Advance the multi-index.
-        done = true;
-        for (std::size_t v = 0; v < vars; ++v) {
-            if (++idx[v] < pointsPerAxis) {
-                done = false;
-                break;
-            }
-            idx[v] = 0;
-        }
-    }
     return best;
 }
 

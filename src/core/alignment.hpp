@@ -4,8 +4,7 @@
 // propagated glitch arrives. The paper's worst case "occurs when all the
 // noise glitch peaks are aligned"; this module provides that heuristic as a
 // starting point plus a coordinate-refinement search on the macromodel
-// (cheap — each probe is a ~10-node transient), and a brute-force grid
-// reference for validation.
+// (cheap — each probe is a ~10-node transient).
 #pragma once
 
 #include "core/macromodel.hpp"
@@ -55,9 +54,14 @@ struct AlignmentResult {
 AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
                                    const AlignmentOptions& opt = {});
 
-/// Exhaustive grid over the same window (validation / small cases only:
-/// cost is pointsPerAxis^(aggressors + 1) transients).
-AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
-                                         double window, int pointsPerAxis);
+/// The search's starting point: every contributor's estimated peak lands
+/// at one common instant, 0.35 tstop (far enough from t = 0 for settling).
+/// Injected noise peaks roughly when an aggressor ramp ends; the
+/// propagated glitch peaks about half a width after its onset.
+struct InitialTimes {
+    std::vector<double> agg;  ///< per spec aggressor, input switch time
+    double glitch = 0.0;      ///< victim-input glitch onset
+};
+InitialTimes peakAlignedInit(const ClusterMacromodel& model);
 
 }  // namespace sna::core

@@ -1,5 +1,6 @@
 #include "core/baselines.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -114,9 +115,14 @@ NoiseResult analyzeLinearSuperposition(
                 (std::abs(mInj.peak) > 1e-6)
                     ? mInj.peakTime
                     : spec.victim.glitchTime + 0.5 * spec.victim.glitchWidth;
-            const double t0 = std::max(tPeak - 0.5 * width, 0.0);
-            const wave::Waveform tri = wave::triangleGlitch(
-                0.0, peak, t0 + 1e-15, width, spec.tstop);
+            const double t0 = std::max(tPeak - 0.5 * width, 0.0) + 1e-15;
+            // A wide propagated glitch aligned to a late injected peak can
+            // outlast the simulation: build the triangle on a horizon that
+            // holds it, then clip it to the analysis window [0, tstop].
+            const double horizon = std::max(spec.tstop, 2.0 * (t0 + width));
+            const wave::Waveform tri =
+                wave::triangleGlitch(0.0, peak, t0, width, horizon)
+                    .window(0.0, spec.tstop);
             total = total.plus(tri);
         }
     }

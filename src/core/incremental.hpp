@@ -87,7 +87,7 @@ struct IncrementalStats {
     /// True when the call could not splice (invalid snapshot, option or
     /// connectivity change) and ran the full pipeline instead.
     bool indexRebuilt = false;
-    util::SchedulerStats scheduler;  ///< restricted run (wavefront only)
+    util::SchedulerStats scheduler;  ///< the restricted (dirty-task) run
 };
 
 /// The dirty cone of `seeds` on the index: seeds, plus every coupling

@@ -1,12 +1,9 @@
 #include "core/sna.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,10 +11,10 @@
 #include "core/design_index.hpp"
 #include "core/incremental.hpp"
 #include "core/propagate.hpp"
+#include "core/wavefront.hpp"
 #include "lint/lint.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
-#include "util/fault_injection.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
@@ -90,171 +87,13 @@ std::vector<std::pair<const Instance*, std::string>> Design::loadsOf(
 
 namespace {
 
-/// Records one cluster run's output glitch in the net's surviving front.
-void recordRun(SurvivingSet* out, const ClusterReport& run) {
-    if (out == nullptr) return;
-    SurvivingGlitch sg;
-    sg.height = std::abs(run.worst.metrics.peak);
-    sg.width = run.worst.metrics.width;
-    mergeSurviving(*out, sg);
-}
-
-/// Worst-of-both-holding-levels cluster run for one victim net, with an
-/// optional propagated glitch injected at the driver input. Both levels'
-/// output glitches join `outSurviving` — the non-governing level can leave
-/// the wider (incomparable) glitch on the net.
-///
-/// `aggWindows` / `glitchWindow`, when given, apply the timing-window
-/// constraints: an aggressor with an empty window is held quiet (switch
-/// time +inf — it still loads the victim but never switches), the
-/// alignment search only probes inside the feasible intervals, and in
-/// fixed-alignment mode (searchAlignment == false) the glitch onset is
-/// clamped into its feasible interval.
-ClusterReport runClusterBothLevels(
-    const cell::CellLibrary& lib, const Instance& driver,
-    const Instance& firstLoad,
-    const std::vector<std::pair<std::string, std::string>>& rankedAggressors,
-    const ic::RcNetwork& rc, double tstop, const ReportOptions& ropt,
-    const IncomingGlitch* incoming, SurvivingSet* outSurviving,
-    const std::vector<TimingWindow>* aggWindows = nullptr,
-    const TimingWindow* glitchWindow = nullptr) {
-    ClusterReport worst;
-    bool first = true;
-    for (const bool level : {false, true}) {
-        ClusterSpec spec;
-        spec.technology = &lib.technology();
-        spec.customNet = &rc;
-        spec.tstop = tstop;
-        spec.victim.driverCell = driver.cellName;
-        spec.victim.outputLevel = level;
-        spec.victim.glitchInput =
-            lib.cell(driver.cellName).inputNames().front();
-        spec.victim.receiverCell = firstLoad.cellName;
-        if (incoming != nullptr) {
-            spec.victim.glitchInput = incoming->inputPin;
-            spec.victim.glitchHeight = incoming->height;
-            // Stored as 50% width; the triangle injection takes the base.
-            spec.victim.glitchWidth = 2.0 * incoming->width;
-            // A broad, near-DC glitch can outlast the simulation window:
-            // the alignment search probes onsets up to 0.8 * tstop, so the
-            // triangle only fits for any probe when tstop >= 5x its base.
-            // Extend the window rather than clamp the glitch (clamping
-            // would analyze a narrower, weaker glitch — optimistic).
-            spec.tstop = std::max(spec.tstop, 6.0 * spec.victim.glitchWidth);
-        }
-        for (const auto& [drvCell, agg] : rankedAggressors) {
-            AggressorSpec as;
-            as.driverCell = drvCell;
-            // The damaging direction: aggressors switch away from the
-            // victim's held level.
-            as.outputRising = !level;
-            spec.aggressors.push_back(as);
-        }
-        const ReportOptions* use = &ropt;
-        ReportOptions constrained;
-        if (aggWindows != nullptr || glitchWindow != nullptr) {
-            constrained = ropt;
-            if (aggWindows != nullptr) {
-                constrained.alignment.aggressorWindows = *aggWindows;
-                for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
-                    if ((*aggWindows)[a].empty()) {
-                        spec.aggressors[a].switchTime =
-                            std::numeric_limits<double>::infinity();
-                    }
-                }
-            }
-            if (incoming != nullptr && glitchWindow != nullptr) {
-                constrained.alignment.glitchWindow = *glitchWindow;
-                if (glitchWindow->bounded()) {
-                    const double lo = std::max(
-                        0.0,
-                        glitchWindow->earliest - spec.victim.glitchWidth);
-                    const double hi = std::min(0.8 * spec.tstop,
-                                               glitchWindow->latest);
-                    if (lo <= hi) {
-                        spec.victim.glitchTime = std::min(
-                            std::max(spec.victim.glitchTime, lo), hi);
-                    }
-                }
-            }
-            use = &constrained;
-        }
-        auto cluster = analyzeCluster(spec, *use);
-        recordRun(outSurviving, cluster);
-        if (first || cluster.margin < worst.margin) {
-            worst = std::move(cluster);
-        }
-        first = false;
-    }
-    return worst;
-}
-
-/// Full per-net analysis: the local-only verdict (exactly what the flat
-/// propagate=false sweep computes), plus — when upstream glitches reach the
-/// driver — one combined run per incoming candidate (the Pareto front is
-/// incomparable until solved); the worst margin governs the report.
-/// `outSurviving`, when set, collects every run's output glitch: a
-/// non-governing candidate can still leave the wider (or taller) glitch on
-/// the net, and downstream stages must see it.
-NetNoiseReport analyzeVictim(
-    const cell::CellLibrary& lib, const std::string& netName,
-    const Instance& driver, const Instance& firstLoad,
-    const std::vector<std::pair<std::string, std::string>>& rankedAggressors,
-    const ic::RcNetwork& rc, double tstop, const ReportOptions& ropt,
-    const std::vector<IncomingGlitch>& incoming = {},
-    SurvivingSet* outSurviving = nullptr,
-    const std::vector<TimingWindow>* aggWindows = nullptr,
-    const std::vector<TimingWindow>* incomingWindows = nullptr) {
-    NetNoiseReport report;
-    report.net = netName;
-    for (const auto& [drvCell, agg] : rankedAggressors) {
-        report.aggressorNets.push_back(agg);
-    }
-
-    report.cluster = runClusterBothLevels(lib, driver, firstLoad,
-                                          rankedAggressors, rc, tstop, ropt,
-                                          nullptr, outSurviving, aggWindows);
-    report.propagated.localPeak = std::abs(report.cluster.worst.metrics.peak);
-    report.propagated.localNrcLimit = report.cluster.nrcLimit;
-    report.propagated.localMargin = report.cluster.margin;
-    report.propagated.localFails = report.cluster.fails;
-
-    for (std::size_t i = 0; i < incoming.size(); ++i) {
-        const IncomingGlitch& in = incoming[i];
-        if (!report.propagated.present) {
-            // Record the primary (tallest) injected candidate even when the
-            // local-only run ends up governing: `present` reports that an
-            // upstream glitch reached this driver, not which run won.
-            report.propagated.present = true;
-            report.propagated.fromNet = in.fromNet;
-            report.propagated.inputPin = in.inputPin;
-            report.propagated.height = in.height;
-            report.propagated.width = in.width;
-        }
-        auto combined = runClusterBothLevels(
-            lib, driver, firstLoad, rankedAggressors, rc, tstop, ropt, &in,
-            outSurviving, aggWindows,
-            incomingWindows != nullptr ? &(*incomingWindows)[i] : nullptr);
-        // The worst margin over {local, each combined candidate} governs: a
-        // destructively-aligned injection must not mask a local failure.
-        if (combined.margin < report.cluster.margin) {
-            report.cluster = std::move(combined);
-            report.propagated.fromNet = in.fromNet;
-            report.propagated.inputPin = in.inputPin;
-            report.propagated.height = in.height;
-            report.propagated.width = in.width;
-        }
-    }
-    return report;
-}
-
 /// Scalar analysis options that change per-net results, encoded bitwise. A
 /// snapshot whose fingerprint differs cannot splice: a clean net's retained
-/// report was computed under different knobs. Thread count, wavefront mode,
-/// and the lint mode are deliberately absent — they never change a value.
-/// So are cancel/deadline/onNetFailure: a snapshot is only ever captured
-/// from a complete, fault-free run, and such runs are bit-identical across
-/// all failure policies.
+/// report was computed under different knobs. Thread count and the lint
+/// mode are deliberately absent — they never change a value. So are
+/// cancel/deadline/onNetFailure: a snapshot is only ever captured from a
+/// complete, fault-free run, and such runs are bit-identical across all
+/// failure policies.
 std::string fingerprintOf(const DesignNoiseOptions& opt) {
     std::ostringstream os;
     const auto put = [&os](double v) {
@@ -297,19 +136,6 @@ struct RunOutcome {
     }
 };
 
-/// The report a net gets when its solve never produced one: enough to keep
-/// the report list shape (one entry per victim, SPEF order) while making
-/// the missing numbers impossible to mistake for a verdict.
-NetNoiseReport failureStub(const std::string& net,
-                           NetNoiseReport::Status status,
-                           const char* what = nullptr) {
-    NetNoiseReport r;
-    r.net = net;
-    r.status = status;
-    if (what != nullptr) r.error = what;
-    return r;
-}
-
 /// Splice inputs for one incremental run (analyzeWithIndex `inc` param):
 /// the prior snapshot to retain clean results from, the dirty net set to
 /// re-solve, and the counters to fill. All borrowed, never null.
@@ -319,33 +145,13 @@ struct IncrementalContext {
     IncrementalStats* stats = nullptr;
 };
 
-/// The engine shared by analyzeDesign (inc == nullptr: every net solves)
-/// and analyzeDesignIncremental (inc != nullptr: clean nets splice their
-/// retained slot values and only the dirty tasks are scheduled). When
-/// `capture` is non-null the per-net result maps are (re)filled from this
-/// run's slots; the caller owns the snapshot's identity fields and index.
-/// `windowsPre`, when given, is the already-propagated window map (the
-/// incremental caller computes it early to diff against the snapshot).
-std::vector<NetNoiseReport> analyzeWithIndex(
-    const Design& design, const parser::SpefFile& spef,
-    const DesignNoiseOptions& opt, const DesignIndex& index,
-    const std::unordered_map<std::string, TimingWindow>* windowsPre,
-    const IncrementalContext* inc, AnalysisSnapshot* capture,
-    RunOutcome* out) {
-    const cell::CellLibrary& lib = design.library();
-    charlib::CharCache runCache;
-    charlib::CharCache* cache = opt.cache ? opt.cache : &runCache;
-
-    // ---- phase 1 (serial, index lookups only): select victims and rank
-    // their aggressors by summed coupling cap.
-    struct Work {
-        const std::string* net;
-        const Instance* driver;
-        const Instance* firstLoad;
-        /// (driver cell, aggressor net), strongest-coupled first.
-        std::vector<std::pair<std::string, std::string>> ranked;
-    };
-    std::vector<Work> work;
+/// Victim selection (serial, index lookups only): every SPEF net with
+/// coupling, a driver and a load, its aggressors ranked by summed coupling
+/// cap. SPEF order.
+std::vector<VictimWork> selectVictims(const parser::SpefFile& spef,
+                                      const DesignIndex& index,
+                                      std::size_t maxAggressors) {
+    std::vector<VictimWork> work;
     for (const auto& [netName, spefNet] : spef.nets()) {
         const auto& coupling = index.couplingOf(netName);
         if (coupling.empty()) continue;
@@ -371,12 +177,10 @@ std::vector<NetNoiseReport> analyzeWithIndex(
             return a.first != b.first ? a.first > b.first
                                       : a.second < b.second;
         });
-        if (ranked.size() > opt.maxAggressors) {
-            ranked.resize(opt.maxAggressors);
-        }
+        if (ranked.size() > maxAggressors) ranked.resize(maxAggressors);
         if (ranked.empty()) continue;
 
-        Work w;
+        VictimWork w;
         w.net = &netName;
         w.driver = driver;
         w.firstLoad = loads.front().first;
@@ -385,33 +189,154 @@ std::vector<NetNoiseReport> analyzeWithIndex(
         }
         work.push_back(std::move(w));
     }
+    return work;
+}
 
-    ReportOptions ropt = opt.report;
-    if (ropt.macromodel.cache == nullptr) ropt.macromodel.cache = cache;
+/// The flat sweep's task graph: one task per victim, in SPEF order, and no
+/// edges. Every victim is a root, so the serial FIFO-Kahn path solves them
+/// in SPEF order — and building it never levelizes the design.
+NetTaskGraph edgelessGraph(const std::vector<VictimWork>& work) {
+    NetTaskGraph g;
+    const std::size_t n = work.size();
+    g.nets.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        g.nets.push_back(*work[i].net);
+        g.idOf.emplace(*work[i].net, static_cast<int>(i));
+    }
+    g.faninIds.resize(n);
+    g.graph.fanout.resize(n);
+    g.graph.faninCount.assign(n, 0);
+    return g;
+}
 
-    const auto solveVictim =
-        [&](const Work& w, const std::vector<IncomingGlitch>& incoming,
-            SurvivingSet* outSurviving,
-            const std::vector<TimingWindow>* aggWindows = nullptr,
-            const std::vector<TimingWindow>* incomingWindows = nullptr) {
-            std::vector<std::string> clusterNets{*w.net};
-            for (const auto& [drvCell, agg] : w.ranked) {
-                clusterNets.push_back(agg);
+/// Incremental splice: every clean net's slots — surviving front, quiet
+/// report, victim report — are pre-filled from the snapshot before any
+/// task runs, so a dirty task reads its clean fanins' slots exactly as a
+/// full run would after solving them. Returns the dirty-task mask.
+std::vector<char> spliceClean(Wavefront& wf, const IncrementalContext& inc) {
+    const std::size_t numTasks = wf.graph->nets.size();
+    std::vector<char> dirtyMask(numTasks, 1);
+    for (std::size_t id = 0; id < numTasks; ++id) {
+        const std::string& net = wf.graph->nets[id];
+        const int slot = wf.slotOf[id];
+        if (inc.dirty->count(net) == 0) {
+            if (wf.propagating()) {
+                if (const auto it = inc.prior->surviving.find(net);
+                    it != inc.prior->surviving.end()) {
+                    wf.surviving[id] = it->second;
+                }
+                if (const auto it = inc.prior->quietReports.find(net);
+                    it != inc.prior->quietReports.end()) {
+                    wf.quietReports[id] = it->second;
+                }
             }
-            const ic::RcNetwork rc = ic::rcFromSpef(spef, clusterNets);
-            NetNoiseReport r = analyzeVictim(
-                lib, *w.net, *w.driver, *w.firstLoad, w.ranked, rc,
-                opt.tstop, ropt, incoming, outSurviving, aggWindows,
-                incomingWindows);
-            r.otherDrivers = index.extraDriversOf(*w.net);
-            return r;
-        };
+            const auto it = inc.prior->victimReports.find(net);
+            if (slot < 0 || it != inc.prior->victimReports.end()) {
+                dirtyMask[id] = 0;
+                wf.taskDone[id] = 1;
+                if (slot >= 0) {
+                    wf.reports[static_cast<std::size_t>(slot)] = it->second;
+                    wf.victimDone[static_cast<std::size_t>(slot)] = 1;
+                    ++inc.stats->reusedVictimReports;
+                }
+                continue;
+            }
+            // The caller's cone marking re-solves any victim the snapshot
+            // never recorded; this branch is unreachable, but a wrong mask
+            // must degrade to extra work, never to an empty report slot.
+        }
+        if (slot >= 0) ++inc.stats->solvedVictimReports;
+    }
+    return dirtyMask;
+}
 
-    std::vector<NetNoiseReport> reports(work.size());
-    /// Victim slot i holds a final value (solved, stubbed, or spliced).
-    /// Only consulted on a cancelled run, where unfinished slots must be
-    /// dropped rather than returned default-constructed.
-    std::vector<char> victimDone(work.size(), 0);
+/// Resilience accounting of a finished run: cancellation (any task left
+/// undecided) and the per-policy failure marks, published through `out`.
+/// Only victim nets are reported as unsolved: the invariant callers rely
+/// on is reports + unsolvedNets == the victim set, and pass-through
+/// propagation tasks never produce a report in the first place.
+RunOutcome tallyRun(const Wavefront& wf, const util::CancelToken* cancel) {
+    RunOutcome run;
+    for (std::size_t id = 0; id < wf.taskDone.size(); ++id) {
+        const std::string& net = wf.graph->nets[id];
+        if (!wf.taskDone[id]) {
+            run.cancelled = true;
+            if (wf.slotOf[id] >= 0) run.unsolved.push_back(net);
+            continue;
+        }
+        switch (wf.taskState[id]) {
+            case TaskState::failed: run.failed.push_back(net); break;
+            case TaskState::quarantined: run.quarantined.push_back(net); break;
+            case TaskState::degraded: run.degraded.push_back(net); break;
+            case TaskState::ok: break;
+        }
+    }
+    if (run.cancelled && cancel != nullptr) run.reason = cancel->reason();
+    return run;
+}
+
+/// Refresh the retained per-net maps from a clean run's slots (on an
+/// incremental run the clean entries were pre-filled, so the rebuilt maps
+/// are complete either way). A flat run holds only victim reports.
+void captureSnapshot(const Wavefront& wf,
+                     const std::unordered_map<std::string, TimingWindow>&
+                         netWindows,
+                     AnalysisSnapshot& capture) {
+    capture.victimReports.clear();
+    capture.quietReports.clear();
+    capture.surviving.clear();
+    for (std::size_t i = 0; i < wf.work->size(); ++i) {
+        capture.victimReports.emplace(*(*wf.work)[i].net, wf.reports[i]);
+    }
+    for (std::size_t id = 0; id < wf.surviving.size(); ++id) {
+        const std::string& net = wf.graph->nets[id];
+        if (!wf.surviving[id].empty()) {
+            capture.surviving.emplace(net, wf.surviving[id]);
+        }
+        if (wf.quietReports[id].has_value()) {
+            capture.quietReports.emplace(net, *wf.quietReports[id]);
+        }
+    }
+    capture.netWindows = netWindows;
+}
+
+/// The victim reports in SPEF order, followed by the propagated-only
+/// entries for quiet nets in level-then-name (== task id) order. On a
+/// cancelled run the unfinished victim slots are dropped first: every
+/// report returned is complete and bitwise-identical to the same net's
+/// report in an uncancelled run.
+std::vector<NetNoiseReport> collectReports(Wavefront& wf, bool cancelled) {
+    std::vector<NetNoiseReport> reports;
+    if (cancelled) {
+        for (std::size_t i = 0; i < wf.reports.size(); ++i) {
+            if (wf.victimDone[i]) reports.push_back(std::move(wf.reports[i]));
+        }
+    } else {
+        reports = std::move(wf.reports);
+    }
+    for (auto& pr : wf.quietReports) {
+        if (pr.has_value()) reports.push_back(std::move(*pr));
+    }
+    return reports;
+}
+
+/// The engine shared by analyzeDesign (inc == nullptr: every net solves)
+/// and analyzeDesignIncremental (inc != nullptr: clean nets splice their
+/// retained slot values and only the dirty tasks are scheduled). Every
+/// per-net solve runs as a runTaskGraph task (core/wavefront.hpp). When
+/// `capture` is non-null the per-net result maps are (re)filled from a
+/// clean run's slots; the caller owns the snapshot's identity fields and
+/// index. `windowsPre`, when given, is the already-propagated window map
+/// (the incremental caller computes it early to diff against the
+/// snapshot).
+std::vector<NetNoiseReport> analyzeWithIndex(
+    const Design& design, const parser::SpefFile& spef,
+    const DesignNoiseOptions& opt, const DesignIndex& index,
+    const std::unordered_map<std::string, TimingWindow>* windowsPre,
+    const IncrementalContext* inc, AnalysisSnapshot* capture,
+    RunOutcome* out) {
+    const std::vector<VictimWork> work =
+        selectVictims(spef, index, opt.maxAggressors);
 
     // Run-local cancellation: the caller's token (if any) chains under a
     // token that also carries the run's deadline, so both compose. With
@@ -423,758 +348,100 @@ std::vector<NetNoiseReport> analyzeWithIndex(
         runToken.setDeadlineAfter(opt.deadline);
         cancel = &runToken;
     }
-    const NetFailurePolicy policy = opt.onNetFailure;
 
-    // One pool per analyzeDesign call, shared by every sweep below: the old
-    // per-level parallelFor constructed and joined a fresh ThreadPool at
-    // every level, and that thread churn dominated the wavefront's runtime.
-    // threads == 0 means "use the machine" (hardware_concurrency).
+    charlib::CharCache runCache;
+    Wavefront wf;
+    wf.lib = &design.library();
+    wf.spef = &spef;
+    wf.index = &index;
+    wf.opt = &opt;
+    wf.cache = opt.cache ? opt.cache : &runCache;
+    wf.ropt = opt.report;
+    if (wf.ropt.macromodel.cache == nullptr) {
+        wf.ropt.macromodel.cache = wf.cache;
+    }
+    wf.work = &work;
+
+    // The flat sweep schedules an edgeless graph and never levelizes; it
+    // ignores timing windows. A propagated run schedules the level graph,
+    // with the windows propagated once over all of it before any cluster
+    // solves: a victim's aggressors can live on ANY level, so their
+    // windows must be known up front, not wavefront-ordered.
+    NetTaskGraph flatGraph;
+    std::unordered_map<std::string, TimingWindow> netWindows;
+    if (opt.propagate) {
+        if (opt.windows != nullptr) {
+            netWindows = windowsPre != nullptr
+                             ? *windowsPre
+                             : propagateWindows(index, wf.cache);
+            wf.windows = &netWindows;
+        }
+        wf.graph = &index.taskGraph();
+    } else {
+        flatGraph = edgelessGraph(work);
+        wf.graph = &flatGraph;
+    }
+
+    // Slots: victim reports by SPEF position, everything else by task id.
+    const std::size_t numTasks = wf.graph->nets.size();
+    wf.slotOf.assign(numTasks, -1);
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        const auto it = wf.graph->idOf.find(*work[i].net);
+        SNA_REQUIRE(it != wf.graph->idOf.end(),
+                    "victim net missing from the task graph");
+        wf.slotOf[static_cast<std::size_t>(it->second)] = static_cast<int>(i);
+    }
+    wf.reports.resize(work.size());
+    wf.victimDone.assign(work.size(), 0);
+    wf.taskState.assign(numTasks, TaskState::ok);
+    wf.taskDone.assign(numTasks, 0);
+    if (opt.propagate) {
+        wf.surviving.resize(numTasks);
+        wf.quietReports.resize(numTasks);
+    }
+
+    // One pool per call; threads == 0 means "use the machine".
     const int threads = util::resolveThreadCount(opt.threads);
     std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1) {
-        pool = std::make_unique<util::ThreadPool>(threads);
-    }
+    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
 
-    if (!opt.propagate) {
-        // ---- phase 2, flat (parallel): one independent cluster solve per
-        // victim. Slot i holds net i's report, so ordering stays SPEF order
-        // at any thread count. Incremental runs splice clean victims from
-        // the snapshot and solve only the dirty slots.
-        std::vector<char> solveSlot(work.size(), 1);
-        if (inc != nullptr) {
-            for (std::size_t i = 0; i < work.size(); ++i) {
-                const std::string& net = *work[i].net;
-                if (inc->dirty->count(net) != 0) continue;
-                const auto it = inc->prior->victimReports.find(net);
-                if (it == inc->prior->victimReports.end()) continue;
-                reports[i] = it->second;
-                solveSlot[i] = 0;
-                victimDone[i] = 1;
-            }
-        }
-        util::parallelFor(
-            pool.get(), static_cast<int>(work.size()),
-            [&](int i) {
-                if (!solveSlot[static_cast<std::size_t>(i)]) return;
-                const std::string& net = *work[i].net;
-                if (policy == NetFailurePolicy::failFast) {
-                    SNA_FAULT_POINT("core.solve_net", net);
-                    reports[i] = solveVictim(work[i], {}, nullptr);
-                } else {
-                    // Independent victims: no cone to quarantine, so both
-                    // non-failFast policies reduce to "capture and go on".
-                    try {
-                        SNA_FAULT_POINT("core.solve_net", net);
-                        reports[i] = solveVictim(work[i], {}, nullptr);
-                    } catch (const util::CancelledError&) {
-                        throw;
-                    } catch (const std::exception& e) {
-                        reports[i] = failureStub(
-                            net, NetNoiseReport::Status::failed, e.what());
-                    }
-                }
-                victimDone[static_cast<std::size_t>(i)] = 1;
-            },
-            cancel);
-        bool runCancelled = false;
-        for (const char done : victimDone) {
-            if (!done) {
-                runCancelled = true;
-                break;
-            }
-        }
-        if (out != nullptr) {
-            out->cancelled = runCancelled;
-            if (runCancelled && cancel != nullptr) {
-                out->reason = cancel->reason();
-            }
-            for (std::size_t i = 0; i < work.size(); ++i) {
-                if (!victimDone[i]) {
-                    out->unsolved.push_back(*work[i].net);
-                } else if (reports[i].status ==
-                           NetNoiseReport::Status::failed) {
-                    out->failed.push_back(*work[i].net);
-                }
-            }
-        }
-        if (inc != nullptr) {
-            inc->stats->totalTasks = work.size();
-            for (const char solve : solveSlot) {
-                if (solve) {
-                    ++inc->stats->solvedVictimReports;
-                } else {
-                    ++inc->stats->reusedVictimReports;
-                }
-            }
-            inc->stats->dirtyTasks = inc->stats->solvedVictimReports;
-        }
-        if (capture != nullptr && !runCancelled &&
-            (out == nullptr || out->failed.empty())) {
-            capture->victimReports.clear();
-            capture->quietReports.clear();
-            capture->surviving.clear();
-            capture->netWindows.clear();
-            for (std::size_t i = 0; i < work.size(); ++i) {
-                capture->victimReports.emplace(*work[i].net, reports[i]);
-            }
-        }
-        if (runCancelled) {
-            std::vector<NetNoiseReport> kept;
-            for (std::size_t i = 0; i < work.size(); ++i) {
-                if (victimDone[i]) kept.push_back(std::move(reports[i]));
-            }
-            return kept;
-        }
-        return reports;
-    }
-
-    // ---- phase 2, wavefront: one task per net of the design graph, run
-    // either as a dependency-counted task graph (default — a net solves the
-    // moment its fanin nets finish) or level-by-level behind a barrier (the
-    // validation baseline). Either way every per-net output is
-    // slot-addressed — reports by victim slot, surviving fronts and quiet
-    // reports by task id — and a task reads nothing but its scheduled
-    // fanins' slots, so completion order cannot change a single bit. Victim
-    // clusters write their report slot (SPEF order is preserved because the
-    // slots were allocated in phase 1); quiet pass-through nets carry noise
-    // forward through the cached propagation tables.
-    std::unordered_map<std::string, int> slotOf;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-        slotOf.emplace(*work[i].net, static_cast<int>(i));
-    }
-
-    // ---- switching windows (FRAME-style temporal correlation) -----------
-    // Propagated once over the whole level graph before any cluster
-    // solves: a victim's aggressors can live on ANY level, so their
-    // windows must be known up front, not wavefront-ordered. Without
-    // windows this block is free and the wavefront below is untouched —
-    // bit-identical to the windows-less pipeline.
-    const bool useWindows = opt.windows != nullptr;
-    std::unordered_map<std::string, TimingWindow> netWindows;
-    if (useWindows) {
-        netWindows = windowsPre != nullptr ? *windowsPre
-                                           : propagateWindows(index, cache);
-    }
-    const auto windowAt = [&](const std::string& net) {
-        const auto it = netWindows.find(net);
-        return it != netWindows.end() ? it->second
-                                      : TimingWindow::unbounded();
-    };
-
-    const NetTaskGraph& tg = index.taskGraph();
-    const int numNets = static_cast<int>(tg.nets.size());
-    // Slot-addressed per-net outputs: task id -> the net's surviving front /
-    // its propagated-only report. Written only by the net's own task, read
-    // only by tasks downstream of it, so no completion order can race.
-    std::vector<SurvivingSet> surviving(
-        static_cast<std::size_t>(numNets));
-    std::vector<std::optional<NetNoiseReport>> quietReports(
-        static_cast<std::size_t>(numNets));
-    // Per-task resilience state, slot-addressed like every other per-net
-    // output: written only by the net's own task, read only by tasks
-    // downstream over scheduled fanin edges (after their dependency count
-    // reached zero), so the quarantine propagation is race-free.
-    enum class TaskState : char { ok, failed, quarantined, degraded };
-    std::vector<TaskState> taskState(static_cast<std::size_t>(numNets),
-                                     TaskState::ok);
-    // Task ran to a decision (solved, stubbed, quarantined, or spliced).
-    // A zero after the run means cancellation skipped it.
-    std::vector<char> taskDone(static_cast<std::size_t>(numNets), 0);
-
-    // Incremental splice: every clean net's slots — surviving front, quiet
-    // report, victim report — are pre-filled from the snapshot before any
-    // task runs, so a dirty task reads its clean fanins' slots exactly as a
-    // full run would after solving them.
-    std::vector<char> dirtyMask(static_cast<std::size_t>(numNets), 1);
+    // Incremental runs schedule only the dirty tasks. Edges from a clean
+    // fanin vanish (its slot is already filled); edges among dirty tasks
+    // keep their dependency order.
+    util::RestrictedTaskGraph dirty;
     if (inc != nullptr) {
-        for (int id = 0; id < numNets; ++id) {
-            const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-            if (inc->dirty->count(net) != 0) continue;
-            dirtyMask[static_cast<std::size_t>(id)] = 0;
-            taskDone[static_cast<std::size_t>(id)] = 1;
-            if (const auto it = inc->prior->surviving.find(net);
-                it != inc->prior->surviving.end()) {
-                surviving[static_cast<std::size_t>(id)] = it->second;
-            }
-            if (const auto it = inc->prior->quietReports.find(net);
-                it != inc->prior->quietReports.end()) {
-                quietReports[static_cast<std::size_t>(id)] = it->second;
-            }
-        }
-        for (std::size_t i = 0; i < work.size(); ++i) {
-            const std::string& net = *work[i].net;
-            const auto idIt = tg.idOf.find(net);
-            if (idIt != tg.idOf.end() &&
-                dirtyMask[static_cast<std::size_t>(idIt->second)] == 0) {
-                const auto it = inc->prior->victimReports.find(net);
-                if (it != inc->prior->victimReports.end()) {
-                    reports[i] = it->second;
-                    victimDone[i] = 1;
-                    ++inc->stats->reusedVictimReports;
-                    continue;
-                }
-                // The caller's cone marking re-solves any victim the
-                // snapshot never recorded; this branch is unreachable, but
-                // a wrong mask must degrade to extra work, never to an
-                // empty report slot.
-                dirtyMask[static_cast<std::size_t>(idIt->second)] = 1;
-                taskDone[static_cast<std::size_t>(idIt->second)] = 0;
-            }
-            ++inc->stats->solvedVictimReports;
-        }
+        dirty = util::restrictTaskGraph(wf.graph->graph, spliceClean(wf, *inc));
     }
+    util::SchedulerStats stats = util::runTaskGraph(
+        inc != nullptr ? dirty.graph : wf.graph->graph,
+        [&](int s) {
+            runWavefrontTask(
+                wf, inc != nullptr ? dirty.fullId[static_cast<std::size_t>(s)]
+                                   : s);
+        },
+        pool.get(), cancel);
 
-    const auto solveNet = [&](int id) {
-        const std::string& net = tg.nets[id];
-        // Surviving fronts are visible over scheduled fanin edges only. A
-        // cycle-broken fanin sits at the same or a later level, so under
-        // the barrier it was never committed when this net solved — the
-        // task graph must reproduce exactly that (and must not read a slot
-        // another in-flight task may be writing).
-        const std::vector<int>& faninIds =
-            tg.faninIds[static_cast<std::size_t>(id)];
-        const auto survivingOf =
-            [&](const std::string& from) -> const SurvivingSet* {
-            const auto it = tg.idOf.find(from);
-            if (it == tg.idOf.end() ||
-                !std::binary_search(faninIds.begin(), faninIds.end(),
-                                    it->second)) {
-                return nullptr;
-            }
-            const SurvivingSet& s =
-                surviving[static_cast<std::size_t>(it->second)];
-            return s.empty() ? nullptr : &s;
-        };
-
-        const std::vector<IncomingGlitch> incoming =
-            selectIncoming(index, net, survivingOf);
-        int slot = -1;  ///< work index, or -1 for a pass-through net
-        if (const auto sit = slotOf.find(net); sit != slotOf.end()) {
-            slot = sit->second;
-        } else if (incoming.empty() || (index.fanoutOf(net).empty() &&
-                                        index.loadsOf(net).empty())) {
-            // Quiet non-victim net, or a leaf with neither downstream
-            // nets nor a receiver to check: nothing to do. (A loaded
-            // net with no fanout still needs the NRC check below.)
-            return;
-        }
-
-        // Windows mode only:
-        TimingWindow sens;  ///< the net's own (sensitivity) window
-        std::vector<char> dropped;  ///< per incoming: window-dropped
-        std::vector<TimingWindow> incomingWindows;  ///< per incoming
-        std::vector<TimingWindow> aggWindows;  ///< per ranked aggressor
-        std::vector<std::string> excludedAggressors;
-        /// False when every window involved is unbounded and nothing was
-        /// dropped: the constrained run would equal the unconstrained one,
-        /// so a single solve serves both margins.
-        bool constraining = false;
-        if (useWindows) {
-            sens = windowAt(net);
-            for (const IncomingGlitch& in : incoming) {
-                // The incoming glitch can only collide with this net
-                // where its carrier's window overlaps the victim's
-                // sensitivity interval — and, for victim clusters, only
-                // if that overlap leaves a feasible onset inside the
-                // simulation horizon (mirrors runClusterBothLevels).
-                const TimingWindow ov =
-                    windowAt(in.fromNet).intersect(sens);
-                bool drop = ov.empty();
-                if (!drop && slot >= 0 && ov.bounded()) {
-                    const double base = 2.0 * in.width;
-                    const double tstopRun =
-                        std::max(opt.tstop, 6.0 * base);
-                    const double lo = std::max(0.0, ov.earliest - base);
-                    const double hi =
-                        std::min(0.8 * tstopRun, ov.latest);
-                    drop = lo > hi;
-                }
-                dropped.push_back(drop ? 1 : 0);
-                incomingWindows.push_back(ov);
-                if (drop || ov.bounded()) constraining = true;
-            }
-            if (slot >= 0) {
-                for (const auto& [drvCell, agg] : work[slot].ranked) {
-                    const TimingWindow ov = windowAt(agg).intersect(sens);
-                    aggWindows.push_back(ov);
-                    if (ov.bounded() || ov.empty()) {
-                        constraining = true;
-                    }
-                    if (ov.empty()) {
-                        excludedAggressors.push_back(agg);
-                    }
-                }
-            }
-        }
-
-        SurvivingSet produced;
-        // The solve proper, wrapped so its early returns still fall
-        // through to the publish step below (a pass-through net can feed
-        // its front downstream even when it has no receiver to report on).
-        const auto solveBody = [&] {
-                if (slot >= 0) {
-                    if (!useWindows) {
-                        // Every run's output (local and per-candidate
-                        // combined) joins the net's surviving front: a
-                        // non-governing candidate can still leave the
-                        // wider glitch.
-                        reports[slot] = solveVictim(
-                            work[slot], incoming, &produced);
-                        return;
-                    }
-                    if (!constraining) {
-                        // Every involved window is unbounded and nothing
-                        // was dropped: the constrained run would be the
-                        // unconstrained run. Solve once, report the margin
-                        // as both.
-                        NetNoiseReport r = solveVictim(
-                            work[slot], incoming, &produced);
-                        r.windows.constrained = true;
-                        r.windows.window = sens;
-                        r.windows.unconstrainedMargin = r.cluster.margin;
-                        r.windows.windowedMargin = r.cluster.margin;
-                        reports[slot] = std::move(r);
-                        return;
-                    }
-                    // Windows mode: the unconstrained run first (the PR 2
-                    // pessimistic verdict, reported for comparison), then
-                    // the window-constrained run that governs the verdict
-                    // and feeds the surviving front downstream.
-                    NetNoiseReport unc = solveVictim(work[slot],
-                                                     incoming, nullptr);
-                    std::vector<IncomingGlitch> kept;
-                    std::vector<TimingWindow> keptWindows;
-                    std::vector<std::string> droppedFrom;
-                    for (std::size_t i = 0; i < incoming.size(); ++i) {
-                        if (dropped[i] != 0) {
-                            droppedFrom.push_back(incoming[i].fromNet);
-                            continue;
-                        }
-                        kept.push_back(incoming[i]);
-                        keptWindows.push_back(incomingWindows[i]);
-                    }
-                    NetNoiseReport win = solveVictim(
-                        work[slot], kept, &produced,
-                        &aggWindows, &keptWindows);
-                    win.windows.constrained = true;
-                    win.windows.window = sens;
-                    win.windows.unconstrainedMargin = unc.cluster.margin;
-                    win.windows.windowedMargin = win.cluster.margin;
-                    // Exclusions are recorded from two places: empty
-                    // window overlaps (decided here), and aggressors the
-                    // governing run's search had to hold quiet because the
-                    // overlap left no feasible INPUT switch time once
-                    // mapped through that run's delay/slew (+inf times).
-                    std::vector<std::string> excluded = excludedAggressors;
-                    const auto& times = win.cluster.aggressorSwitchTimes;
-                    for (std::size_t a = 0;
-                         a < times.size() && a < work[slot].ranked.size();
-                         ++a) {
-                        if (std::isinf(times[a])) {
-                            excluded.push_back(work[slot].ranked[a].second);
-                        }
-                    }
-                    std::sort(excluded.begin(), excluded.end());
-                    excluded.erase(
-                        std::unique(excluded.begin(), excluded.end()),
-                        excluded.end());
-                    win.windows.excludedAggressors = std::move(excluded);
-                    std::sort(droppedFrom.begin(), droppedFrom.end());
-                    droppedFrom.erase(
-                        std::unique(droppedFrom.begin(), droppedFrom.end()),
-                        droppedFrom.end());
-                    win.windows.droppedIncoming = std::move(droppedFrom);
-                    reports[slot] = std::move(win);
-                    return;
-                }
-                const Instance* drv = index.driverOf(net);
-                // Pass-through items always have fanin edges, and fanin
-                // edges are only built through a net's driver.
-                SNA_REQUIRE(drv != nullptr,
-                            "pass-through net without a driver");
-                // Every candidate's transfer survives unless dominated:
-                // incomparable outputs stay side by side in the front.
-                // Window-dropped candidates (their carrier's window misses
-                // this net's sensitivity interval) neither survive nor
-                // reach the receiver; they are kept aside only for the
-                // unconstrained comparison margin.
-                struct Transfer {
-                    SurvivingGlitch sg;
-                    const IncomingGlitch* from = nullptr;
-                };
-                std::vector<Transfer> transfers;
-                std::vector<Transfer> allTransfers;  // windows mode only
-                std::vector<std::string> droppedFrom;
-                for (std::size_t i = 0; i < incoming.size(); ++i) {
-                    const IncomingGlitch& in = incoming[i];
-                    const bool drop = useWindows && dropped[i] != 0;
-                    // Every window-dropped candidate is recorded, whether
-                    // or not its transfer would have cleared the height
-                    // filter — same accounting as the victim branch.
-                    if (drop) droppedFrom.push_back(in.fromNet);
-                    Transfer t;
-                    t.sg = propagateThroughDriver(lib.cell(drv->cellName),
-                                                  in.inputPin, in, cache);
-                    t.from = &in;
-                    if (t.sg.height < opt.propagateMinHeight ||
-                        t.sg.width <= 0.0) {
-                        continue;
-                    }
-                    if (useWindows) allTransfers.push_back(t);
-                    if (drop) continue;
-                    transfers.push_back(t);
-                    mergeSurviving(produced, t.sg);
-                }
-                // A quiet pass-through net has no cluster, but its receiver
-                // still sees the propagated glitch: check it against the
-                // NRC and report, so a propagated-only failure on an
-                // uncoupled net is not silently missed. The worst (minimum)
-                // margin over a transfer set, both holding levels each:
-                const auto& loads = index.loadsOf(net);
-                struct Scan {
-                    ClusterReport cluster;
-                    const IncomingGlitch* governing = nullptr;
-                };
-                const auto nrcScan = [&](const std::vector<Transfer>& ts) {
-                    Scan s;
-                    bool first = true;
-                    for (const Transfer& t : ts) {
-                        for (const bool level : {false, true}) {
-                            ClusterSpec spec;
-                            spec.technology = &lib.technology();
-                            spec.victim.receiverCell =
-                                loads.front().first->cellName;
-                            spec.victim.outputLevel = level;
-                            wave::GlitchMetrics m;
-                            m.peak = t.sg.height;
-                            m.width = t.sg.width;
-                            const double limit =
-                                nrcLimitFor(spec, m, cache, ropt.nrc);
-                            const double margin = limit - t.sg.height;
-                            if (first || margin < s.cluster.margin) {
-                                s.cluster.worst.metrics = m;
-                                s.cluster.nrcLimit = limit;
-                                s.cluster.margin = margin;
-                                s.cluster.fails = t.sg.height >= limit;
-                                s.governing = t.from;
-                            }
-                            first = false;
-                        }
-                    }
-                    return s;
-                };
-                if (loads.empty()) return;
-                if (transfers.empty() &&
-                    (!useWindows || allTransfers.empty())) {
-                    return;
-                }
-                NetNoiseReport pr;
-                pr.net = net;
-                if (!transfers.empty()) {
-                    Scan s = nrcScan(transfers);
-                    pr.cluster = std::move(s.cluster);
-                    pr.propagated.present = true;
-                    pr.propagated.fromNet = s.governing->fromNet;
-                    pr.propagated.inputPin = s.governing->inputPin;
-                    pr.propagated.height = s.governing->height;
-                    pr.propagated.width = s.governing->width;
-                }
-                if (useWindows) {
-                    // The unconstrained view over every transfer, dropped
-                    // or not — what the windows-less wavefront would have
-                    // checked here. With nothing dropped it is the scan
-                    // already done.
-                    Scan unc;
-                    if (droppedFrom.empty()) {
-                        unc.cluster = pr.cluster;
-                    } else {
-                        unc = nrcScan(allTransfers);
-                    }
-                    pr.windows.constrained = true;
-                    pr.windows.window = sens;
-                    pr.windows.unconstrainedMargin = unc.cluster.margin;
-                    if (transfers.empty()) {
-                        // Every candidate was window-dropped: no noise
-                        // reaches the receiver in-window, so the governing
-                        // margin is the full NRC budget of the glitch the
-                        // unconstrained view would have seen.
-                        pr.cluster.nrcLimit = unc.cluster.nrcLimit;
-                        pr.cluster.margin = unc.cluster.nrcLimit;
-                        pr.cluster.fails = false;
-                    }
-                    pr.windows.windowedMargin = pr.cluster.margin;
-                    std::sort(droppedFrom.begin(), droppedFrom.end());
-                    droppedFrom.erase(std::unique(droppedFrom.begin(),
-                                                  droppedFrom.end()),
-                                      droppedFrom.end());
-                    pr.windows.droppedIncoming = std::move(droppedFrom);
-                }
-                // No local (coupled) noise on a quiet net: the local-only
-                // margin is the receiver's full NRC budget.
-                pr.propagated.localPeak = 0.0;
-                pr.propagated.localNrcLimit = pr.cluster.nrcLimit;
-                pr.propagated.localMargin = pr.cluster.nrcLimit;
-                pr.propagated.localFails = false;
-                quietReports[static_cast<std::size_t>(id)] = std::move(pr);
-        };
-        solveBody();
-
-        // Publish this net's surviving front into its slot (the per-level
-        // serial commit of the barrier wavefront, now owned by the task):
-        // the height filter runs here so downstream tasks — which may
-        // already be running in task-graph mode — only ever see the final
-        // value after their dependency count reaches zero.
-        SurvivingSet kept;
-        for (const SurvivingGlitch& sg : produced) {
-            if (sg.height >= opt.propagateMinHeight && sg.width > 0.0) {
-                kept.push_back(sg);
-            }
-        }
-        surviving[static_cast<std::size_t>(id)] = std::move(kept);
-    };
-
-    // The task the scheduler actually runs: solveNet wrapped in the
-    // failure-quarantine policy. Under failFast the wrapper adds nothing
-    // but the injection site — exceptions propagate through the scheduler
-    // exactly as before, bit-identical behavior included.
-    const auto runTask = [&](int id) {
-        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-        int slot = -1;
-        if (const auto sit = slotOf.find(net); sit != slotOf.end()) {
-            slot = sit->second;
-        }
-        const auto markDone = [&] {
-            if (slot >= 0) victimDone[static_cast<std::size_t>(slot)] = 1;
-            taskDone[static_cast<std::size_t>(id)] = 1;
-        };
-        if (policy == NetFailurePolicy::failFast) {
-            SNA_FAULT_POINT("core.solve_net", net);
-            solveNet(id);
-            markDone();
-            return;
-        }
-        // Cone state over the scheduled fanin edges. Each fanin's state was
-        // committed before this task's dependency count reached zero.
-        const std::vector<int>& faninIds =
-            tg.faninIds[static_cast<std::size_t>(id)];
-        bool upstreamFault = false;
-        bool upstreamDegraded = false;
-        for (const int f : faninIds) {
-            const TaskState s = taskState[static_cast<std::size_t>(f)];
-            if (s == TaskState::failed || s == TaskState::quarantined) {
-                upstreamFault = true;
-            } else if (s == TaskState::degraded) {
-                upstreamDegraded = true;
-            }
-        }
-        if (policy == NetFailurePolicy::quarantineCone && upstreamFault) {
-            // Suppressed, not solved: empty surviving front (nothing
-            // propagates out of the cone), stub report for victims.
-            taskState[static_cast<std::size_t>(id)] = TaskState::quarantined;
-            if (slot >= 0) {
-                reports[static_cast<std::size_t>(slot)] = failureStub(
-                    net, NetNoiseReport::Status::quarantined);
-            }
-            markDone();
-            return;
-        }
-        try {
-            SNA_FAULT_POINT("core.solve_net", net);
-            solveNet(id);
-            if (upstreamFault || upstreamDegraded) {
-                // degradeToPassthrough: solved across a bridged failure —
-                // margins are real numbers but built on approximate inputs.
-                taskState[static_cast<std::size_t>(id)] = TaskState::degraded;
-                if (slot >= 0) {
-                    reports[static_cast<std::size_t>(slot)].status =
-                        NetNoiseReport::Status::degraded;
-                }
-                auto& quiet = quietReports[static_cast<std::size_t>(id)];
-                if (quiet.has_value()) {
-                    quiet->status = NetNoiseReport::Status::degraded;
-                }
-            }
-        } catch (const util::CancelledError&) {
-            throw;  // cancellation is never a per-net failure
-        } catch (const std::exception& e) {
-            taskState[static_cast<std::size_t>(id)] = TaskState::failed;
-            if (slot >= 0) {
-                reports[static_cast<std::size_t>(slot)] = failureStub(
-                    net, NetNoiseReport::Status::failed, e.what());
-            }
-            quietReports[static_cast<std::size_t>(id)].reset();
-            SurvivingSet pass;
-            if (policy == NetFailurePolicy::degradeToPassthrough) {
-                // Bridge the failed stage conservatively: its incoming
-                // glitches transfer downstream unattenuated.
-                const auto survivingOf =
-                    [&](const std::string& from) -> const SurvivingSet* {
-                    const auto it = tg.idOf.find(from);
-                    if (it == tg.idOf.end() ||
-                        !std::binary_search(faninIds.begin(), faninIds.end(),
-                                            it->second)) {
-                        return nullptr;
-                    }
-                    const SurvivingSet& s =
-                        surviving[static_cast<std::size_t>(it->second)];
-                    return s.empty() ? nullptr : &s;
-                };
-                for (const IncomingGlitch& in :
-                     selectIncoming(index, net, survivingOf)) {
-                    SurvivingGlitch sg;
-                    sg.height = in.height;
-                    sg.width = in.width;
-                    if (sg.height >= opt.propagateMinHeight &&
-                        sg.width > 0.0) {
-                        mergeSurviving(pass, sg);
-                    }
-                }
-            }
-            surviving[static_cast<std::size_t>(id)] = std::move(pass);
-        }
-        markDone();
-    };
-
+    RunOutcome run = tallyRun(wf, cancel);
+    stats.failedTasks = run.failed.size();
+    stats.quarantinedTasks = run.quarantined.size();
+    stats.degradedTasks = run.degraded.size();
     if (inc != nullptr) {
-        // Incremental: only the dirty tasks are scheduled. Edges from a
-        // clean fanin vanish (its slot is already filled); edges among
-        // dirty tasks keep their dependency order, so a dirty net still
-        // solves after every dirty upstream net.
-        const util::RestrictedTaskGraph sub =
-            util::restrictTaskGraph(tg.graph, dirtyMask);
-        util::SchedulerStats stats = util::runTaskGraph(
-            sub.graph,
-            [&](int s) {
-                runTask(sub.fullId[static_cast<std::size_t>(s)]);
-            },
-            pool.get(), cancel);
-        inc->stats->totalTasks = static_cast<std::size_t>(numNets);
-        inc->stats->dirtyTasks = sub.fullId.size();
+        inc->stats->totalTasks = numTasks;
+        inc->stats->dirtyTasks = dirty.fullId.size();
         inc->stats->scheduler = stats;
-        if (opt.schedulerStats != nullptr) {
-            *opt.schedulerStats = std::move(stats);
-        }
-    } else if (opt.wavefront == WavefrontMode::levelBarrier) {
-        // Validation baseline: levels run in order with a full join between
-        // them. Task ids are (level, name)-ordered, so each level is the
-        // contiguous id range [base, base + levelNets.size()).
-        int base = 0;
-        for (const auto& levelNets : index.levels().levels) {
-            if (cancel != nullptr && cancel->stopRequested()) break;
-            const int len = static_cast<int>(levelNets.size());
-            util::parallelFor(pool.get(), len,
-                              [&](int k) { runTask(base + k); }, cancel);
-            base += len;
-        }
-    } else {
-        // Dependency-counted task graph: the whole ready frontier runs at
-        // once; a net unlocks its fanouts the moment it publishes.
-        util::SchedulerStats stats =
-            util::runTaskGraph(tg.graph, runTask, pool.get(), cancel);
-        if (opt.schedulerStats != nullptr) {
-            *opt.schedulerStats = std::move(stats);
-        }
     }
-
-    // ---- resilience accounting and partial-result assembly ---------------
-    bool runCancelled = false;
-    for (int id = 0; id < numNets; ++id) {
-        if (!taskDone[static_cast<std::size_t>(id)]) {
-            runCancelled = true;
-            break;
-        }
+    if (opt.schedulerStats != nullptr) *opt.schedulerStats = std::move(stats);
+    // A cancelled run has unfilled slots and a faulted run has stub
+    // reports — neither may become splice input for a later incremental
+    // iteration.
+    if (capture != nullptr && run.clean()) {
+        captureSnapshot(wf, netWindows, *capture);
     }
-    std::size_t failedCount = 0;
-    std::size_t quarantinedCount = 0;
-    std::size_t degradedCount = 0;
-    for (int id = 0; id < numNets; ++id) {
-        switch (taskState[static_cast<std::size_t>(id)]) {
-            case TaskState::failed: ++failedCount; break;
-            case TaskState::quarantined: ++quarantinedCount; break;
-            case TaskState::degraded: ++degradedCount; break;
-            case TaskState::ok: break;
-        }
-    }
-    const auto fillQuarantineStats = [&](util::SchedulerStats* s) {
-        if (s == nullptr) return;
-        s->failedTasks = failedCount;
-        s->quarantinedTasks = quarantinedCount;
-        s->degradedTasks = degradedCount;
-    };
-    fillQuarantineStats(opt.schedulerStats);
-    if (inc != nullptr) fillQuarantineStats(&inc->stats->scheduler);
-    if (out != nullptr) {
-        out->cancelled = runCancelled;
-        if (runCancelled && cancel != nullptr) out->reason = cancel->reason();
-        for (int id = 0; id < numNets; ++id) {
-            const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-            if (!taskDone[static_cast<std::size_t>(id)]) {
-                // Only victim clusters are reported as unsolved: the
-                // invariant callers rely on is reports + unsolvedNets ==
-                // the victim set, and pass-through propagation tasks never
-                // produce a report in the first place.
-                if (slotOf.count(net) != 0) out->unsolved.push_back(net);
-                continue;
-            }
-            switch (taskState[static_cast<std::size_t>(id)]) {
-                case TaskState::failed: out->failed.push_back(net); break;
-                case TaskState::quarantined:
-                    out->quarantined.push_back(net);
-                    break;
-                case TaskState::degraded: out->degraded.push_back(net); break;
-                case TaskState::ok: break;
-            }
-        }
-    }
-    const bool runClean = !runCancelled && failedCount == 0 &&
-                          quarantinedCount == 0 && degradedCount == 0;
-
-    if (capture != nullptr && runClean) {
-        // Refresh the retained per-net maps from this run's slots (on an
-        // incremental run the clean entries were pre-filled above, so the
-        // rebuilt maps are complete either way). Gated on a clean run: a
-        // cancelled run has unfilled slots and a faulted run has stub
-        // reports — neither may become splice input for a later
-        // incremental iteration.
-        capture->victimReports.clear();
-        capture->quietReports.clear();
-        capture->surviving.clear();
-        for (std::size_t i = 0; i < work.size(); ++i) {
-            capture->victimReports.emplace(*work[i].net, reports[i]);
-        }
-        for (int id = 0; id < numNets; ++id) {
-            const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-            if (!surviving[static_cast<std::size_t>(id)].empty()) {
-                capture->surviving.emplace(
-                    net, surviving[static_cast<std::size_t>(id)]);
-            }
-            if (quietReports[static_cast<std::size_t>(id)].has_value()) {
-                capture->quietReports.emplace(
-                    net, *quietReports[static_cast<std::size_t>(id)]);
-            }
-        }
-        capture->netWindows = netWindows;
-    }
-
-    // Propagated-only entries for quiet nets follow the SPEF-ordered victim
-    // reports, in level-then-name (== task id) order (deterministic). On a
-    // cancelled run the unfinished victim slots are dropped first — every
-    // report returned is complete and bitwise-identical to the same net's
-    // report in an uncancelled run.
-    if (runCancelled) {
-        std::vector<NetNoiseReport> kept;
-        kept.reserve(reports.size());
-        for (std::size_t i = 0; i < work.size(); ++i) {
-            if (victimDone[i]) kept.push_back(std::move(reports[i]));
-        }
-        reports = std::move(kept);
-    }
-    for (int id = 0; id < numNets; ++id) {
-        auto& pr = quietReports[static_cast<std::size_t>(id)];
-        if (pr.has_value()) reports.push_back(std::move(*pr));
-    }
+    std::vector<NetNoiseReport> reports = collectReports(wf, run.cancelled);
+    if (out != nullptr) *out = std::move(run);
     return reports;
 }
+
 
 /// The shared lint gate: run the checker, apply waivers, publish the report
 /// through `opt.lintOut` (and `snapshotLint` when given), and throw
@@ -1453,88 +720,6 @@ std::vector<NetNoiseReport> analyzeDesignIncremental(
                 : "analysis cancelled");
     }
     return std::move(outcome.reports);
-}
-
-std::vector<NetNoiseReport> analyzeDesignReference(
-    const Design& design, const parser::SpefFile& spef,
-    const DesignNoiseOptions& opt) {
-    std::vector<NetNoiseReport> reports;
-    const cell::CellLibrary& lib = design.library();
-
-    for (const auto& [netName, spefNet] : spef.nets()) {
-        auto aggressors = spef.aggressorsOf(netName);
-        if (aggressors.empty()) continue;
-        const Instance* driver = design.driverOf(netName);
-        if (driver == nullptr) {
-            log::warn() << "SPEF net '" << netName
-                        << "' has coupling but no driver in the design";
-            continue;
-        }
-        const auto loads = design.loadsOf(netName);
-        if (loads.empty()) continue;
-
-        // The pre-index cost model: coupling caps may be listed under either
-        // net's section, so every (victim, aggressor) pair rescans all nets.
-        auto ownerOf = [](const std::string& node) {
-            return node.substr(0, node.find(':'));
-        };
-        std::vector<std::pair<double, std::string>> ranked;
-        for (const auto& agg : aggressors) {
-            if (spef.nets().find(agg) == spef.nets().end()) continue;
-            if (design.driverOf(agg) == nullptr) continue;
-            double cc = 0.0;
-            for (const auto& [otherName, otherNet] : spef.nets()) {
-                for (const auto& cap : otherNet.caps) {
-                    if (cap.node2.empty()) continue;
-                    const std::string o1 = ownerOf(cap.node1);
-                    const std::string o2 = ownerOf(cap.node2);
-                    if ((o1 == netName && o2 == agg) ||
-                        (o2 == netName && o1 == agg)) {
-                        cc += cap.farads;
-                    }
-                }
-            }
-            ranked.push_back({cc, agg});
-        }
-        std::sort(ranked.begin(), ranked.end(), [](const auto& a,
-                                                   const auto& b) {
-            return a.first != b.first ? a.first > b.first
-                                      : a.second < b.second;
-        });
-        if (ranked.size() > opt.maxAggressors) {
-            ranked.resize(opt.maxAggressors);
-        }
-        if (ranked.empty()) continue;
-
-        std::vector<std::string> clusterNets{netName};
-        for (const auto& [cc, agg] : ranked) clusterNets.push_back(agg);
-        const ic::RcNetwork rc = ic::rcFromSpef(spef, clusterNets);
-
-        std::vector<std::pair<std::string, std::string>> rankedAggressors;
-        for (const auto& [cc, agg] : ranked) {
-            rankedAggressors.push_back({design.driverOf(agg)->cellName, agg});
-        }
-        // Uncached, serial cluster analysis: every cluster re-characterizes.
-        ReportOptions ropt = opt.report;
-        ropt.macromodel.cache = nullptr;
-        reports.push_back(analyzeVictim(lib, netName, *driver,
-                                        *loads.front().first,
-                                        rankedAggressors, rc, opt.tstop,
-                                        ropt));
-        // Surface the non-winning drivers of a multiply-driven net, same
-        // as the indexed path.
-        for (const auto& inst : design.instances()) {
-            const cell::Cell& c = lib.cell(inst.cellName);
-            const auto out = inst.pinToNet.find(c.outputName());
-            if (out != inst.pinToNet.end() && out->second == netName &&
-                &inst != driver) {
-                reports.back().otherDrivers.push_back(inst.name);
-            }
-        }
-        std::sort(reports.back().otherDrivers.begin(),
-                  reports.back().otherDrivers.end());
-    }
-    return reports;
 }
 
 }  // namespace sna::core

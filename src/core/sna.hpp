@@ -131,20 +131,6 @@ struct NetNoiseReport {
     std::string error;  ///< captured what() when status == failed
 };
 
-/// How the propagated-noise wavefront is scheduled. Either way the results
-/// are bit-identical at any thread count: per-net outputs are slot-addressed
-/// and every task reads nothing but its scheduled fanins' slots.
-enum class WavefrontMode {
-    /// Dependency-counted task graph (default): a net's cluster solves the
-    /// moment its last fanin net finishes, workers pull from per-worker
-    /// deques with work-stealing, and no level barrier ever forms — deep
-    /// narrow levels no longer serialize the machine.
-    taskGraph,
-    /// The PR 2 per-level barrier (levels run in order, full join between
-    /// levels). Kept as the validation baseline for the scheduler.
-    levelBarrier,
-};
-
 /// What happens to a run when one net's solve throws
 /// (DesignNoiseOptions::onNetFailure).
 enum class NetFailurePolicy {
@@ -175,8 +161,8 @@ struct DesignNoiseOptions {
     /// Characterization cache shared across clusters. nullptr uses a fresh
     /// per-run cache; pass one to share across runs or to read its stats.
     charlib::CharCache* cache = nullptr;
-    /// Stage-to-stage noise propagation: analyze nets level by level along
-    /// the design graph and inject each net's surviving glitch into its
+    /// Stage-to-stage noise propagation: analyze nets in dependency order
+    /// along the design graph and inject each net's surviving glitch into its
     /// fanout clusters (combined with the local coupling noise at the worst
     /// alignment). false keeps the flat single-pass sweep — bit-identical
     /// results at any thread count.
@@ -193,12 +179,10 @@ struct DesignNoiseOptions {
     /// or all-unbounded windows — reproduces the pure worst-alignment
     /// wavefront.
     const TimingWindows* windows = nullptr;
-    /// Wavefront scheduling (propagate == true only); see WavefrontMode.
-    WavefrontMode wavefront = WavefrontMode::taskGraph;
-    /// When non-null, the task-graph wavefront writes its scheduler counters
-    /// (resolved worker count, tasks executed, steals, ready-frontier high
-    /// water, per-worker busy fractions) here; untouched by the flat sweep
-    /// and the barrier mode.
+    /// When non-null, the run writes its scheduler counters here (resolved
+    /// worker count, tasks executed, steals, ready-frontier high water,
+    /// per-worker busy fractions, failure-policy marks). Filled in every
+    /// mode: the flat sweep runs as a task graph with no edges.
     util::SchedulerStats* schedulerStats = nullptr;
     /// When non-null, analyzeDesign captures its retained state here (index,
     /// per-net reports, surviving fronts, propagated windows) so later ECO
@@ -275,14 +259,15 @@ struct AnalysisOutcome {
 /// The pipeline: a one-pass DesignIndex replaces the per-query instance and
 /// cap scans, a CharCache runs each characterization (load curve, Thevenin,
 /// NRC, propagation table) once per distinct key instead of once per
-/// cluster, and independent victim clusters solve on `opt.threads` workers.
-/// With `opt.propagate`, the flat sweep becomes a levelized wavefront:
-/// DesignIndex's Kahn levels run in order (nets within a level still solve
-/// in parallel), so every net's upstream glitch is known before its own
-/// cluster solves. The victim reports stay in SPEF order; they are followed
-/// by propagated-only entries (empty aggressor list, NRC check against the
-/// propagated glitch) for quiet uncoupled nets that noise reaches, in
-/// deterministic level-then-name order.
+/// cluster, and every per-net solve runs as a task of util::runTaskGraph on
+/// `opt.threads` workers. The flat sweep is a task graph with no edges:
+/// every victim is independent. With `opt.propagate` the graph is
+/// DesignIndex's levelized net graph: a net's cluster solves as soon as its
+/// last scheduled fanin net has finished, so its upstream glitch is known
+/// before it solves. The victim reports stay in SPEF order; they are
+/// followed by propagated-only entries (empty aggressor list, NRC check
+/// against the propagated glitch) for quiet uncoupled nets that noise
+/// reaches, in deterministic level-then-name order.
 std::vector<NetNoiseReport> analyzeDesign(const Design& design,
                                           const parser::SpefFile& spef,
                                           const DesignNoiseOptions& opt = {});
@@ -297,14 +282,5 @@ std::vector<NetNoiseReport> analyzeDesign(const Design& design,
 AnalysisOutcome analyzeDesignOutcome(const Design& design,
                                      const parser::SpefFile& spef,
                                      const DesignNoiseOptions& opt = {});
-
-/// The pre-index brute-force sweep (linear instance scans per query, all-net
-/// cap scans per aggressor, full re-characterization per cluster, serial).
-/// Kept as the validation and benchmarking baseline: its reports must match
-/// analyzeDesign exactly with `opt.propagate == false`. `opt.threads`,
-/// `opt.cache`, and `opt.propagate` are ignored.
-std::vector<NetNoiseReport> analyzeDesignReference(
-    const Design& design, const parser::SpefFile& spef,
-    const DesignNoiseOptions& opt = {});
 
 }  // namespace sna::core

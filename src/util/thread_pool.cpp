@@ -1,11 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-
-#include "util/cancel.hpp"
-
 namespace sna::util {
 
 int resolveThreadCount(int requested) {
@@ -74,78 +68,6 @@ void ThreadPool::workerLoop() {
             if (queue_.empty() && active_ == 0) idle_.notify_all();
         }
     }
-}
-
-void parallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn,
-                 const CancelToken* cancel) {
-    if (n <= 0) return;
-    if (pool == nullptr || pool->size() <= 1 || n == 1) {
-        const CancelScope scope(cancel != nullptr ? cancel
-                                                  : currentCancelToken());
-        for (int i = 0; i < n; ++i) {
-            if (cancel != nullptr && cancel->stopRequested()) return;
-            try {
-                fn(i);
-            } catch (const CancelledError&) {
-                if (cancel == nullptr) throw;  // historical semantics
-                return;  // slot i unpublished; caller checks the token
-            }
-        }
-        return;
-    }
-
-    std::atomic<int> next{0};
-    std::atomic<bool> stopped{false};
-    std::exception_ptr firstError;
-    std::mutex errorMu;
-    auto worker = [&] {
-        const CancelScope scope(cancel != nullptr ? cancel
-                                                  : currentCancelToken());
-        for (;;) {
-            if (stopped.load(std::memory_order_relaxed) ||
-                (cancel != nullptr && cancel->stopRequested())) {
-                stopped.store(true, std::memory_order_relaxed);
-                return;
-            }
-            const int i = next.fetch_add(1);
-            if (i >= n) return;
-            try {
-                fn(i);
-            } catch (const CancelledError&) {
-                if (cancel == nullptr) {
-                    const std::lock_guard<std::mutex> lock(errorMu);
-                    if (!firstError) firstError = std::current_exception();
-                    return;
-                }
-                stopped.store(true, std::memory_order_relaxed);
-                return;
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(errorMu);
-                if (!firstError) firstError = std::current_exception();
-            }
-        }
-    };
-
-    const int workers = std::min(pool->size(), n);
-    std::vector<std::function<void()>> jobs(static_cast<std::size_t>(workers),
-                                            worker);
-    pool->runBatch(std::move(jobs));
-    pool->wait();
-    if (firstError) std::rethrow_exception(firstError);
-}
-
-void parallelFor(int threads, int n, const std::function<void(int)>& fn) {
-    if (n <= 0) return;
-    if (threads > n) threads = n;
-    if (threads <= 1) {
-        for (int i = 0; i < n; ++i) fn(i);
-        return;
-    }
-    // Thin wrapper over the pool-reuse overload; callers that sweep more
-    // than once should own the pool themselves and skip the per-call
-    // construct/join churn.
-    ThreadPool pool(threads);
-    parallelFor(&pool, n, fn);
 }
 
 }  // namespace sna::util

@@ -1,11 +1,10 @@
 // Minimal fixed-size thread pool for coarse-grained engine parallelism.
 //
-// The design-level noise flow runs one independent cluster solve per victim
-// net; ThreadPool::parallelFor fans those solves out over a fixed set of
-// workers while keeping result ordering deterministic (work item i always
-// writes slot i). The pool is intentionally small and blocking — noise
-// clusters are milliseconds-to-seconds of work each, so queue overhead is
-// irrelevant; what matters is exception safety and a clean join.
+// The design-level noise flow runs every per-net cluster solve as a task of
+// util::runTaskGraph (util/task_scheduler.hpp), whose worker loops run on
+// this pool. The pool is intentionally small and blocking — noise clusters
+// are milliseconds-to-seconds of work each, so queue overhead is
+// irrelevant; what matters is a clean join.
 #pragma once
 
 #include <condition_variable>
@@ -16,8 +15,6 @@
 #include <vector>
 
 namespace sna::util {
-
-class CancelToken;
 
 class ThreadPool {
 public:
@@ -32,7 +29,7 @@ public:
     int size() const { return static_cast<int>(workers_.size()); }
 
     /// Enqueue one job. Jobs must not throw; wrap work that can throw (see
-    /// parallelFor, which captures the first exception and rethrows it).
+    /// runTaskGraph, which captures the first exception and rethrows it).
     void run(std::function<void()> job);
 
     /// Enqueue a batch of jobs under one lock acquisition and a single
@@ -61,26 +58,5 @@ private:
 /// consumer of a thread-count option should resolve through here so "auto"
 /// means the same thing everywhere.
 int resolveThreadCount(int requested);
-
-/// Run fn(i) for every i in [0, n). With threads <= 1 the loop runs inline
-/// on the calling thread (no pool is created); otherwise min(threads, n)
-/// workers pull indices in order. The first exception thrown by any fn(i)
-/// is rethrown on the calling thread after all workers settle.
-void parallelFor(int threads, int n, const std::function<void(int)>& fn);
-
-/// parallelFor on a caller-owned pool: repeated sweeps reuse the same
-/// workers instead of constructing and joining a fresh ThreadPool per call.
-/// `pool == nullptr` (or a pool of size 1) runs the loop inline. The pool
-/// must be otherwise idle: completion is detected with ThreadPool::wait(),
-/// which waits for the whole queue to drain. Exception semantics match the
-/// thread-count overload (first error rethrown after all workers settle).
-///
-/// With a non-null `cancel`, each fn(i) runs inside a CancelScope and once
-/// the token stops no further indices are claimed; the sweep settles and
-/// returns normally (never throws CancelledError) so the caller can keep
-/// completed slots — check cancel->stopRequested() to learn whether every
-/// index ran. CancelledError thrown by fn(i) stops the sweep the same way.
-void parallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn,
-                 const CancelToken* cancel = nullptr);
 
 }  // namespace sna::util

@@ -210,7 +210,9 @@ TEST(LocalePortability, StreamsUnderCommaDecimalGlobalCppLocale) {
 
 TEST(ConcurrentSave, TwoWritersOnePathNeverCorrupt) {
     const cell::CellLibrary lib(tech::tech130());
-    const std::string name = "sna_concurrent.snacache";
+    // Not "sna_concurrent.snacache": test_incremental writes that file, and
+    // ctest runs the two suites concurrently in one temp directory.
+    const std::string name = "sna_portability_concurrent.snacache";
     const std::string path = tmpPath(name);
     charlib::CharCache cache;
     seededCache(cache, lib, 8);

@@ -11,6 +11,7 @@
 #include "core/sna.hpp"
 #include "interconnect/parallel_bus.hpp"
 #include "spice/tran.hpp"
+#include "testsupport/oracles.hpp"
 #include "util/error.hpp"
 #include "waveform/sources.hpp"
 
@@ -183,6 +184,41 @@ TEST(Baselines, InjectedOnlyClusterIsCloseAcrossModels) {
     ASSERT_GT(macro.metrics.peak, 0.03);
     EXPECT_NEAR(b1.metrics.peak, macro.metrics.peak,
                 0.30 * macro.metrics.peak);
+}
+
+TEST(Baselines, SuperpositionClipsAWidePropagatedGlitchToTheWindow) {
+    // A long-wire AOI21 victim under three aggressors stretches the
+    // propagated glitch's equivalent triangle past 1 ns. With the
+    // aggressors switching late, the triangle aligned to the injected peak
+    // outlasts tstop: B1 must clip it to the analysis window, not throw.
+    ClusterSpec spec;
+    spec.victim.driverCell = "AOI21_X1";
+    spec.victim.glitchInput = "a";
+    spec.victim.outputLevel = false;
+    spec.victim.receiverCell = "INV_X1";
+    spec.victim.glitchHeight = 0.6 * spec.technology->vdd;
+    spec.victim.glitchWidth = 150e-12;
+    for (int a = 0; a < 3; ++a) {
+        AggressorSpec agg;
+        agg.driverCell = "INV_X1";
+        spec.aggressors.push_back(agg);
+    }
+    spec.lengthUm = 600.0;
+    const ClusterMacromodel model(spec);
+    const std::vector<double> late(3, 1.8e-9);
+
+    core::NoiseResult b1;
+    ASSERT_NO_THROW(b1 = core::analyzeLinearSuperposition(model, late));
+    // The analysis window is still the simulation's.
+    EXPECT_EQ(b1.waveform.startTime(), 0.0);
+    EXPECT_EQ(b1.waveform.endTime(), spec.tstop);
+    ASSERT_TRUE(std::isfinite(b1.metrics.peak));
+    // The clipped triangle still adds to the injected noise.
+    ClusterSpec injectedOnly = spec;
+    injectedOnly.victim.glitchHeight = 0.0;
+    const auto inj = core::analyzeLinearSuperposition(
+        ClusterMacromodel(injectedOnly), late);
+    EXPECT_GT(std::abs(b1.metrics.peak), std::abs(inj.metrics.peak));
 }
 
 TEST(Baselines, SuperpositionIsExactInLinearClusters) {

@@ -9,8 +9,8 @@
 #include "charlib/char_cache.hpp"
 #include "core/design_index.hpp"
 #include "core/sna.hpp"
+#include "testsupport/oracles.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -186,29 +186,6 @@ TEST(CharCacheDesign, OneCharacterizationPerCellAndLevel) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
         EXPECT_NEAR(again[i].cluster.margin, reports[i].cluster.margin, 0.0);
     }
-}
-
-// ------------------------------------------------------------ thread pool
-
-TEST(ThreadPool, ParallelForCoversAllIndicesOnce) {
-    std::vector<int> hits(1000, 0);
-    util::parallelFor(4, 1000, [&](int i) { hits[i]++; });
-    for (int i = 0; i < 1000; ++i) EXPECT_EQ(hits[i], 1) << i;
-}
-
-TEST(ThreadPool, ParallelForSerialFallback) {
-    std::vector<int> order;
-    util::parallelFor(1, 5, [&](int i) { order.push_back(i); });
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-    EXPECT_THROW(
-        util::parallelFor(3, 100,
-                          [](int i) {
-                              if (i == 57) throw ModelError("boom");
-                          }),
-        ModelError);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "core/design_index.hpp"
 #include "core/propagate.hpp"
 #include "core/sna.hpp"
+#include "testsupport/oracles.hpp"
 
 namespace {
 

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -326,44 +327,6 @@ TEST(SchedulerCancel, BodyThrownCancelledErrorCountsAsSkipped) {
     EXPECT_EQ(stats.skippedTasks, 7u);   // 3 unwound + 4..9 skipped
 }
 
-TEST(ParallelForCancel, InlinePathStopsAfterCancellingIndex) {
-    util::CancelToken token;
-    std::vector<int> ran;
-    util::parallelFor(
-        nullptr, 100,
-        [&](int i) {
-            ran.push_back(i);
-            if (i == 10) token.cancel();
-        },
-        &token);
-    ASSERT_EQ(ran.size(), 11u);  // 0..10; index 11 is never claimed
-    EXPECT_EQ(ran.back(), 10);
-}
-
-TEST(ParallelForCancel, PoolPathReturnsNormallyAndStops) {
-    util::ThreadPool pool(4);
-    util::CancelToken token;
-    std::atomic<int> ran{0};
-    util::parallelFor(
-        &pool, 10000,
-        [&](int i) {
-            ran.fetch_add(1);
-            if (i == 5) token.cancel();
-        },
-        &token);
-    EXPECT_LT(ran.load(), 10000);  // the tail was skipped
-}
-
-TEST(ParallelForCancel, WithoutTokenCancelledErrorStillPropagates) {
-    // Historical semantics: no token passed means CancelledError is an
-    // ordinary exception, not a silent stop.
-    EXPECT_THROW(util::parallelFor(nullptr, 4,
-                                   [](int) {
-                                       throw util::CancelledError("boom");
-                                   }),
-                 util::CancelledError);
-}
-
 // -------------------------------------------------------- fault injection
 
 TEST(FaultInjector, SkipFirstAndLimitAccounting) {
@@ -440,9 +403,9 @@ struct ChainFixture {
         buildChain(design, kChainStages);
     }
 
-    core::DesignNoiseOptions options(int threads) {
+    core::DesignNoiseOptions options(int threads, bool propagate = true) {
         auto opt = cheapOptions();
-        opt.propagate = true;
+        opt.propagate = propagate;
         opt.threads = threads;
         opt.cache = &cache;
         return opt;
@@ -467,36 +430,58 @@ TEST(PartialResults, PreCancelledTokenSolvesNothingButReturnsStructure) {
 }
 
 TEST(PartialResults, MidRunCancelReturnsBitwiseIdenticalCompletedReports) {
-    ChainFixture fx;
-    const auto baseline =
-        core::analyzeDesign(fx.design, fx.spef, fx.options(4));
-    ASSERT_EQ(baseline.size(), static_cast<std::size_t>(2 * kChainStages));
-    const auto base = byNet(baseline);
+    // Both the propagated wavefront and the flat sweep (an edgeless task
+    // graph) keep the partial-result contract.
+    for (const bool propagate : {true, false}) {
+        const std::string label =
+            propagate ? "mid-run cancel, propagated" : "mid-run cancel, flat";
+        ChainFixture fx;
+        // Warm the cache first, so the timed baseline run costs what the
+        // cancelled run will.
+        (void)core::analyzeDesign(fx.design, fx.spef, fx.options(4, propagate));
+        const auto start = std::chrono::steady_clock::now();
+        const auto baseline =
+            core::analyzeDesign(fx.design, fx.spef, fx.options(4, propagate));
+        const auto runTime = std::chrono::steady_clock::now() - start;
+        ASSERT_EQ(baseline.size(), static_cast<std::size_t>(2 * kChainStages))
+            << label;
+        const auto base = byNet(baseline);
 
-    // Cancel from a watcher thread a fraction into the run: the outcome
-    // must carry every completed report, each bitwise-equal to the full
-    // run's, and account for every other net as unsolved.
-    util::CancelToken token;
-    auto opt = fx.options(4);
-    opt.cancel = &token;
-    std::thread watcher([&token] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(120));
-        token.cancel();
-    });
-    const auto outcome = core::analyzeDesignOutcome(fx.design, fx.spef, opt);
-    watcher.join();
+        // Cancel from a watcher thread a third into the run (the flat sweep
+        // is several times shorter than the wavefront): the outcome must
+        // carry every completed report, each bitwise-equal to the full
+        // run's, and account for every other net as unsolved.
+        util::CancelToken token;
+        auto opt = fx.options(4, propagate);
+        opt.cancel = &token;
+        std::thread watcher([&token, runTime] {
+            std::this_thread::sleep_for(runTime / 3);
+            token.cancel();
+        });
+        const auto outcome =
+            core::analyzeDesignOutcome(fx.design, fx.spef, opt);
+        watcher.join();
 
-    EXPECT_EQ(outcome.reports.size() + outcome.unsolvedNets.size(),
-              baseline.size());
-    for (const auto& r : outcome.reports) {
-        ASSERT_EQ(r.status, core::NetNoiseReport::Status::ok) << r.net;
-        const auto it = base.find(r.net);
-        ASSERT_NE(it, base.end()) << r.net;
-        expectBitwiseEqual(r, *it->second, "mid-run cancel");
-    }
-    if (!outcome.complete()) {
-        EXPECT_EQ(outcome.reason, core::TerminationReason::cancelled);
-        EXPECT_FALSE(outcome.unsolvedNets.empty());
+        // Reports and unsolved nets tile the victim set.
+        std::vector<std::string> tiled = outcome.unsolvedNets;
+        for (const auto& r : outcome.reports) {
+            ASSERT_EQ(r.status, core::NetNoiseReport::Status::ok)
+                << label << " " << r.net;
+            const auto it = base.find(r.net);
+            ASSERT_NE(it, base.end()) << label << " " << r.net;
+            expectBitwiseEqual(r, *it->second, label);
+            tiled.push_back(r.net);
+        }
+        std::sort(tiled.begin(), tiled.end());
+        std::vector<std::string> victims;
+        for (const auto& r : baseline) victims.push_back(r.net);
+        std::sort(victims.begin(), victims.end());
+        EXPECT_EQ(tiled, victims) << label;
+        if (!outcome.complete()) {
+            EXPECT_EQ(outcome.reason, core::TerminationReason::cancelled)
+                << label;
+            EXPECT_FALSE(outcome.unsolvedNets.empty()) << label;
+        }
     }
 }
 
@@ -628,6 +613,63 @@ TEST(Quarantine, ConeSuppressedAndUntouchedNetsBitIdenticalAcrossThreads) {
         }
         EXPECT_EQ(okCount,
                   baseline.size() - 1 /*failed*/ - coneVictims.size());
+    }
+
+    // The flat sweep runs the same engine over an edgeless graph: there is
+    // no cone, so under either non-failFast policy only the faulted net is
+    // stubbed, every other report is untouched, and the faulted run is
+    // never captured as splice input.
+    const auto flatBaseline =
+        core::analyzeDesign(fx.design, fx.spef, fx.options(4, false));
+    const auto flatBase = byNet(flatBaseline);
+    for (const auto policy : {core::NetFailurePolicy::quarantineCone,
+                              core::NetFailurePolicy::degradeToPassthrough}) {
+        for (const int threads : {1, 4, 8}) {
+            const std::string label =
+                std::string("flat ") +
+                (policy == core::NetFailurePolicy::quarantineCone
+                     ? "quarantine"
+                     : "passthrough") +
+                ", threads=" + std::to_string(threads);
+            util::FaultInjector::instance().arm("core.solve_net@s2");
+            auto opt = fx.options(threads, false);
+            opt.onNetFailure = policy;
+            util::SchedulerStats sched;
+            opt.schedulerStats = &sched;
+            core::AnalysisSnapshot snapshot;
+            opt.snapshot = &snapshot;
+            const auto outcome =
+                core::analyzeDesignOutcome(fx.design, fx.spef, opt);
+            util::FaultInjector::instance().disarm();
+
+            ASSERT_TRUE(outcome.complete()) << label;
+            EXPECT_EQ(outcome.failedNets, std::vector<std::string>{"s2"})
+                << label;
+            EXPECT_TRUE(outcome.quarantinedNets.empty()) << label;
+            EXPECT_TRUE(outcome.degradedNets.empty()) << label;
+            EXPECT_EQ(sched.failedTasks, 1u) << label;
+            EXPECT_EQ(sched.quarantinedTasks + sched.degradedTasks, 0u)
+                << label;
+            EXPECT_FALSE(snapshot.valid) << label;
+            EXPECT_TRUE(snapshot.victimReports.empty()) << label;
+
+            ASSERT_EQ(outcome.reports.size(), flatBaseline.size()) << label;
+            for (std::size_t i = 0; i < outcome.reports.size(); ++i) {
+                const auto& r = outcome.reports[i];
+                EXPECT_EQ(r.net, flatBaseline[i].net) << label;  // SPEF order
+                if (r.net == "s2") {
+                    EXPECT_EQ(r.status, core::NetNoiseReport::Status::failed)
+                        << label;
+                    EXPECT_NE(r.error.find("injected fault"),
+                              std::string::npos)
+                        << label;
+                    continue;
+                }
+                ASSERT_EQ(r.status, core::NetNoiseReport::Status::ok)
+                    << label << " " << r.net;
+                expectBitwiseEqual(r, *flatBase.at(r.net), label);
+            }
+        }
     }
 }
 
@@ -832,7 +874,9 @@ TEST_F(CacheFileTest, RandomTruncationNeverCrashesOrTearsARecord) {
     const std::string full = slurp(path_);
     ASSERT_GT(full.size(), 100u);
     util::Rng rng(0xdecafbadULL);
-    const std::string cut = tmpPath("sna_truncated.snacache");
+    // Not "sna_truncated.snacache": test_incremental writes that file, and
+    // ctest runs the two suites concurrently in one temp directory.
+    const std::string cut = tmpPath("sna_resilience_truncated.snacache");
     for (int trial = 0; trial < 50; ++trial) {
         const auto offset = static_cast<std::size_t>(
             rng.uniformInt(0, static_cast<int>(full.size()) - 1));

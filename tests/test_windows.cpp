@@ -18,6 +18,7 @@
 #include "core/propagate.hpp"
 #include "core/sna.hpp"
 #include "parser/windows_parser.hpp"
+#include "testsupport/oracles.hpp"
 #include "util/error.hpp"
 
 namespace {
