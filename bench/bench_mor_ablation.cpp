@@ -54,11 +54,13 @@ core::NoiseResult runFullRc(const core::ClusterSpec& spec,
         ckt.addCapacitor("crx" + std::to_string(w), ids[net.receiverNode(w)],
                          spice::kGround, model.receiverCaps()[w]);
     }
+    const std::string dpName = "rc:" + net.nodeName(net.driverNode(0));
     spice::TranOptions opt;
     opt.tstop = spec.tstop;
+    opt.probes = {dpName};
     const auto res = spice::simulateTransient(ckt, opt);
     core::NoiseResult out;
-    out.waveform = res.waveform("rc:" + net.nodeName(net.driverNode(0)));
+    out.waveform = res.waveform(dpName);
     out.metrics = wave::measureGlitch(out.waveform, model.outputHoldLevel());
     out.engineNodes = ckt.nodeCount();
     out.runtimeSec = std::chrono::duration<double>(

@@ -39,6 +39,7 @@ double measureInputCapacitance(const cell::Cell& c, const std::string& pin) {
 
     spice::TranOptions opt;
     opt.tstop = tStop;
+    opt.probes = {"src", "pin"};
     const auto res = spice::simulateTransient(ckt, opt);
     const auto drop = res.waveform("src").minus(res.waveform("pin"));
     const double charge = wave::integrate(drop) / r;

@@ -65,6 +65,7 @@ bool glitchFails(const NrcSpec& spec, double height, double width) {
 
     spice::TranOptions opt;
     opt.tstop = tStop;
+    opt.probes = {"out"};
     const auto res = spice::simulateTransient(ckt, opt);
     const auto m = wave::measureGlitch(res.waveform("out"), outBaseline);
     return std::abs(m.peak) >= spec.failFraction * vdd;

@@ -60,6 +60,7 @@ PropagationTable characterizePropagation(const PropagationSpec& spec) {
 
             spice::TranOptions opt;
             opt.tstop = tStop;
+            opt.probes = {"out"};
             const auto res = spice::simulateTransient(ckt, opt);
             const auto m =
                 wave::measureGlitch(res.waveform("out"), outBaseline);

@@ -149,6 +149,7 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec) {
 
     spice::TranOptions opt;
     opt.tstop = tStop;
+    opt.probes = {"out"};
     const auto res = spice::simulateTransient(ckt, opt);
     const auto& out = res.waveform("out");
 

@@ -25,10 +25,10 @@ double clampTo(double t, const Axis& ax) {
     return std::min(std::max(t, ax.lo), ax.hi);
 }
 
-double objective(const ClusterMacromodel& model,
+double objective(MacromodelEngine& engine,
                  const std::vector<double>& aggTimes, double glitchTime,
                  NoiseResult* out) {
-    NoiseResult r = model.analyzeAt(aggTimes, glitchTime);
+    NoiseResult r = engine.run(aggTimes, glitchTime);
     const double value = std::abs(r.metrics.peak);
     if (out != nullptr) *out = std::move(r);
     return value;
@@ -100,11 +100,14 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
     }
     if (hasGlitch) times.glitch = clampTo(times.glitch, glitchAxis);
 
+    // One engine for the whole search: every probe re-arms the same
+    // circuit instead of rebuilding it.
+    MacromodelEngine engine(model);
     AlignmentResult best;
     best.aggressorSwitchTimes = times.agg;
     best.glitchTime = times.glitch;
     double bestVal =
-        objective(model, times.agg, times.glitch, &best.worst);
+        objective(engine, times.agg, times.glitch, &best.worst);
     best.evaluations = 1;
 
     // The spec's own alignment is a free candidate — never return worse
@@ -123,7 +126,7 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
             hasGlitch ? clampTo(spec.victim.glitchTime, glitchAxis)
                       : times.glitch;
         NoiseResult r;
-        const double val = objective(model, specTimes, specGlitch, &r);
+        const double val = objective(engine, specTimes, specGlitch, &r);
         ++best.evaluations;
         if (val >= bestVal) {
             bestVal = val;
@@ -163,7 +166,7 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
                 }
                 NoiseResult r;
                 const double val =
-                    objective(model, aggTimes, glitchTime, &r);
+                    objective(engine, aggTimes, glitchTime, &r);
                 ++best.evaluations;
                 if (val > bestVal) {
                     bestVal = val;

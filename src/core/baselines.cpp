@@ -95,6 +95,7 @@ NoiseResult analyzeLinearSuperposition(
     addHoldingResistor(model, ckt, dp);
     spice::TranOptions opt;
     opt.tstop = spec.tstop;
+    opt.probes = {"dp_vic"};
     const auto res = spice::simulateTransient(ckt, opt);
     const wave::Waveform injected = res.waveform("dp_vic");
     const auto mInj = wave::measureGlitch(injected, model.outputHoldLevel());
@@ -166,6 +167,7 @@ NoiseResult analyzeIterativeThevenin(
         ckt.addCapacitor("cload", out, spice::kGround, load);
         spice::TranOptions opt;
         opt.tstop = spec.tstop;
+        opt.probes = {"out"};
         v0 = spice::simulateTransient(ckt, opt).waveform("out");
     }
 
@@ -182,6 +184,7 @@ NoiseResult analyzeIterativeThevenin(
         ckt.addResistor("r_victim", vsrc, dp, rv);
         spice::TranOptions opt;
         opt.tstop = spec.tstop;
+        opt.probes = {"dp_vic"};
         const auto res = spice::simulateTransient(ckt, opt);
         result.waveform = res.waveform("dp_vic");
         result.metrics = wave::measureGlitch(result.waveform, vHold);

@@ -137,10 +137,11 @@ NoiseResult simulateGolden(const ClusterSpec& spec) {
     }
 
     // ---- run ---------------------------------------------------------------
+    const std::string dpName = "rc:" + net.nodeName(net.driverNode(0));
     spice::TranOptions opt;
     opt.tstop = spec.tstop;
+    opt.probes = {dpName};
     const auto res = spice::simulateTransient(ckt, opt);
-    const std::string dpName = "rc:" + net.nodeName(net.driverNode(0));
 
     NoiseResult out;
     out.waveform = res.waveform(dpName);

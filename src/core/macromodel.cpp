@@ -128,21 +128,15 @@ NoiseResult ClusterMacromodel::analyze() const {
 
 NoiseResult ClusterMacromodel::analyzeAt(
     const std::vector<double>& aggressorSwitchTimes, double glitchTime) const {
-    SNA_REQUIRE(aggressorSwitchTimes.size() == spec_.aggressors.size(),
-                "need one switch time per aggressor");
-    const auto start = std::chrono::steady_clock::now();
+    return MacromodelEngine(*this).run(aggressorSwitchTimes, glitchTime);
+}
 
-    // ---- assemble the Fig. 1 circuit -------------------------------------
+spice::Circuit ClusterMacromodel::buildCircuit() const {
     spice::Circuit ckt;
     const auto vin = ckt.node("vin");
     const auto dp = ckt.node("dp_vic");
-    if (const auto glitch = victimInputGlitch(spec_, glitchTime)) {
-        ckt.addVSource("v_in", vin, spice::kGround,
-                       spice::SourceSpec::pwl(*glitch));
-    } else {
-        ckt.addVSource("v_in", vin, spice::kGround,
-                       spice::SourceSpec::dc(vinHold_));
-    }
+    ckt.addVSource("v_in", vin, spice::kGround,
+                   spice::SourceSpec::dc(vinHold_));
     ckt.addTableVccs("idc_victim", dp, vin, *loadCurve_);
 
     std::vector<spice::NodeId> drvNodes{dp};
@@ -152,18 +146,8 @@ NoiseResult ClusterMacromodel::analyzeAt(
         const std::string inst = "agg" + std::to_string(a);
         const auto src = ckt.node(inst + "_th");
         const auto adp = ckt.node(inst + "_dp");
-        if (std::isinf(aggressorSwitchTimes[a])) {
-            // Window-excluded aggressor: held quiet at its pre-transition
-            // rail. Its Thevenin resistance and coupling caps stay in the
-            // circuit — a silent neighbour still loads the victim.
-            ckt.addVSource("v_" + inst, src, spice::kGround,
-                           spice::SourceSpec::dc(model.vStart));
-        } else {
-            ckt.addVSource(
-                "v_" + inst, src, spice::kGround,
-                spice::SourceSpec::pwl(model.ramp(
-                    aggressorSwitchTimes[a] + model.delay, spec_.tstop)));
-        }
+        ckt.addVSource("v_" + inst, src, spice::kGround,
+                       spice::SourceSpec::dc(model.vStart));
         ckt.addResistor("r_" + inst, src, adp, model.rth);
         ckt.addCapacitor("cdrv" + std::to_string(a + 1), adp, spice::kGround,
                          drvCaps_[a + 1]);
@@ -171,7 +155,6 @@ NoiseResult ClusterMacromodel::analyzeAt(
     }
 
     if (opt_.usePrima) {
-        const mor::LinearNetwork lin(net_);
         std::vector<spice::NodeId> portNodes = drvNodes;
         std::vector<spice::NodeId> rcvNodes;
         for (int w = 0; w < net_.wireCount(); ++w) {
@@ -190,16 +173,66 @@ NoiseResult ClusterMacromodel::analyzeAt(
                              spice::kGround, rxCaps_[w]);
         }
     }
+    return ckt;
+}
+
+namespace {
+
+spice::VSource& sourceNamed(const spice::Circuit& ckt,
+                            const std::string& name) {
+    auto* vs = dynamic_cast<spice::VSource*>(ckt.findDevice(name));
+    SNA_REQUIRE(vs != nullptr, "macromodel circuit has no source " + name);
+    return *vs;
+}
+
+}  // namespace
+
+MacromodelEngine::MacromodelEngine(const ClusterMacromodel& model)
+    : model_(model),
+      circuit_(model.buildCircuit()),
+      vin_(sourceNamed(circuit_, "v_in")),
+      tran_(circuit_) {
+    for (std::size_t a = 0; a < model_.spec_.aggressors.size(); ++a) {
+        aggSources_.push_back(
+            &sourceNamed(circuit_, "v_agg" + std::to_string(a)));
+    }
+    options_.tstop = model_.spec_.tstop;
+    options_.probes = {"dp_vic"};
+}
+
+NoiseResult MacromodelEngine::run(
+    const std::vector<double>& aggressorSwitchTimes, double glitchTime) {
+    const ClusterSpec& spec = model_.spec_;
+    SNA_REQUIRE(aggressorSwitchTimes.size() == spec.aggressors.size(),
+                "need one switch time per aggressor");
+    const auto start = std::chrono::steady_clock::now();
+
+    // ---- re-arm the sources ------------------------------------------------
+    if (const auto glitch = victimInputGlitch(spec, glitchTime)) {
+        vin_.setSpec(spice::SourceSpec::pwl(*glitch));
+    } else {
+        vin_.setSpec(spice::SourceSpec::dc(model_.vinHold_));
+    }
+    for (std::size_t a = 0; a < aggSources_.size(); ++a) {
+        const auto& thev = model_.aggressors_[a];
+        if (std::isinf(aggressorSwitchTimes[a])) {
+            // Window-excluded aggressor: held quiet at its pre-transition
+            // rail. Its Thevenin resistance and coupling caps stay in the
+            // circuit — a silent neighbour still loads the victim.
+            aggSources_[a]->setSpec(spice::SourceSpec::dc(thev.vStart));
+        } else {
+            aggSources_[a]->setSpec(spice::SourceSpec::pwl(thev.ramp(
+                aggressorSwitchTimes[a] + thev.delay, spec.tstop)));
+        }
+    }
 
     // ---- run the dedicated small engine -----------------------------------
-    spice::TranOptions opt;
-    opt.tstop = spec_.tstop;
-    const auto res = spice::simulateTransient(ckt, opt);
+    const auto res = tran_.run(options_);
 
     NoiseResult out;
     out.waveform = res.waveform("dp_vic");
-    out.metrics = wave::measureGlitch(out.waveform, voutHold_);
-    out.engineNodes = ckt.nodeCount();
+    out.metrics = wave::measureGlitch(out.waveform, model_.voutHold_);
+    out.engineNodes = circuit_.nodeCount();
     out.runtimeSec = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();

@@ -9,10 +9,13 @@
 //  * the coupled interconnect is reduced at the driving points by moment
 //    matching (coupled-Pi by default, PRIMA optionally);
 //  * receivers become their input capacitances.
-// analyzeAt() then solves the resulting small non-linear circuit with the
-// shared Newton/transient core — the "dedicated engine embedded into the
-// noise analysis tool". Because the macromodel has ~10 unknowns instead of
-// hundreds, this is where the paper's ~20x speed-up comes from.
+// MacromodelEngine then solves the resulting small non-linear circuit with
+// the shared Newton/transient core — the "dedicated engine embedded into
+// the noise analysis tool". Because the macromodel has ~10 unknowns instead
+// of hundreds, this is where the paper's ~20x speed-up comes from. The
+// engine builds the circuit once; each run only re-arms the source
+// waveforms, so the alignment search's probes reuse one circuit, MNA map
+// and set of solver workspaces.
 #pragma once
 
 #include <memory>
@@ -25,6 +28,7 @@
 #include "core/cluster.hpp"
 #include "mor/coupled_pi.hpp"
 #include "mor/prima.hpp"
+#include "spice/tran.hpp"
 
 namespace sna::core {
 
@@ -54,7 +58,9 @@ public:
     /// Run with explicit aggressor input-switch times and victim glitch
     /// arrival (the worst-case search knobs). A switch time of +inf holds
     /// that aggressor quiet at its pre-transition rail (window-excluded
-    /// aggressors still load the victim, they just never switch).
+    /// aggressors still load the victim, they just never switch). One-shot
+    /// wrapper over a fresh MacromodelEngine; callers probing many
+    /// alignments keep one engine instead.
     NoiseResult analyzeAt(const std::vector<double>& aggressorSwitchTimes,
                           double glitchTime) const;
 
@@ -84,6 +90,12 @@ public:
     std::string describe() const;
 
 private:
+    friend class MacromodelEngine;
+
+    /// The Fig. 1 circuit with quiet placeholder sources "v_in" and
+    /// "v_agg<a>" (MacromodelEngine re-arms them per run).
+    spice::Circuit buildCircuit() const;
+
     ClusterSpec spec_;
     Options opt_;
     ic::RcNetwork net_;
@@ -99,6 +111,30 @@ private:
     std::vector<double> drvCaps_;
     /// Shared with the cache on a hit (immutable); owned otherwise.
     mutable std::shared_ptr<const charlib::PropagationTable> propagation_;
+};
+
+/// The dedicated engine of one macromodel: owns the Fig. 1 circuit, its
+/// transient engine (MNA map and solver workspaces). Each run() re-arms
+/// only the victim-input and aggressor source specs; the results are
+/// bitwise those of a freshly built circuit. Holds a reference to the
+/// model, which must outlive it. Not thread-safe: build one per search.
+class MacromodelEngine {
+public:
+    explicit MacromodelEngine(const ClusterMacromodel& model);
+    MacromodelEngine(const MacromodelEngine&) = delete;
+    MacromodelEngine& operator=(const MacromodelEngine&) = delete;
+
+    /// Same contract as ClusterMacromodel::analyzeAt.
+    NoiseResult run(const std::vector<double>& aggressorSwitchTimes,
+                    double glitchTime);
+
+private:
+    const ClusterMacromodel& model_;
+    spice::Circuit circuit_;
+    spice::VSource& vin_;
+    std::vector<spice::VSource*> aggSources_;
+    spice::TranOptions options_;
+    spice::TransientEngine tran_;  // after circuit_: its map points there
 };
 
 }  // namespace sna::core

@@ -61,18 +61,20 @@ double DenseMatrix::maxAbs() const {
     return m;
 }
 
-DenseLu::DenseLu(DenseMatrix a, double pivotTol) : lu_(std::move(a)) {
-    SNA_REQUIRE(lu_.rows() == lu_.cols(), "LU needs a square matrix");
-    const std::size_t n = lu_.rows();
-    perm_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+int luFactorInPlace(DenseMatrix& a, std::vector<std::size_t>& perm,
+                    double pivotTol) {
+    SNA_REQUIRE(a.rows() == a.cols(), "LU needs a square matrix");
+    const std::size_t n = a.rows();
+    perm.resize(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    int sign = 1;
 
     for (std::size_t k = 0; k < n; ++k) {
         // Partial pivot: largest magnitude in column k at/below the diagonal.
         std::size_t pivot = k;
-        double best = std::abs(lu_(k, k));
+        double best = std::abs(a(k, k));
         for (std::size_t r = k + 1; r < n; ++r) {
-            const double v = std::abs(lu_(r, k));
+            const double v = std::abs(a(r, k));
             if (v > best) {
                 best = v;
                 pivot = r;
@@ -83,23 +85,53 @@ DenseLu::DenseLu(DenseMatrix a, double pivotTol) : lu_(std::move(a)) {
                 "singular matrix in dense LU (pivot " + std::to_string(best) +
                 " at column " + std::to_string(k) + ")");
         }
+        double* rowK = a.row(k);
         if (pivot != k) {
-            for (std::size_t c = 0; c < n; ++c) {
-                std::swap(lu_(k, c), lu_(pivot, c));
-            }
-            std::swap(perm_[k], perm_[pivot]);
-            permSign_ = -permSign_;
+            std::swap_ranges(rowK, rowK + n, a.row(pivot));
+            std::swap(perm[k], perm[pivot]);
+            sign = -sign;
         }
-        const double inv = 1.0 / lu_(k, k);
+        const double inv = 1.0 / rowK[k];
         for (std::size_t r = k + 1; r < n; ++r) {
-            const double factor = lu_(r, k) * inv;
+            double* rowR = a.row(r);
+            const double factor = rowR[k] * inv;
             if (factor == 0.0) continue;
-            lu_(r, k) = factor;
+            rowR[k] = factor;
             for (std::size_t c = k + 1; c < n; ++c) {
-                lu_(r, c) -= factor * lu_(k, c);
+                rowR[c] -= factor * rowK[c];
             }
         }
     }
+    return sign;
+}
+
+void luSolveInPlace(const DenseMatrix& lu, const std::vector<std::size_t>& perm,
+                    Vector& b, Vector& work) {
+    const std::size_t n = lu.rows();
+    SNA_REQUIRE(b.size() == n && perm.size() == n,
+                "rhs size mismatch in LU solve");
+    work.resize(n);
+    // Apply permutation.
+    for (std::size_t i = 0; i < n; ++i) work[i] = b[perm[i]];
+    // Forward substitution (unit lower).
+    for (std::size_t i = 0; i < n; ++i) {
+        const double* row = lu.row(i);
+        double acc = work[i];
+        for (std::size_t j = 0; j < i; ++j) acc -= row[j] * work[j];
+        work[i] = acc;
+    }
+    // Back substitution.
+    for (std::size_t ii = n; ii-- > 0;) {
+        const double* row = lu.row(ii);
+        double acc = work[ii];
+        for (std::size_t j = ii + 1; j < n; ++j) acc -= row[j] * work[j];
+        work[ii] = acc / row[ii];
+    }
+    std::copy(work.begin(), work.end(), b.begin());
+}
+
+DenseLu::DenseLu(DenseMatrix a, double pivotTol) : lu_(std::move(a)) {
+    permSign_ = luFactorInPlace(lu_, perm_, pivotTol);
 }
 
 Vector DenseLu::solve(const Vector& b) const {
@@ -109,24 +141,8 @@ Vector DenseLu::solve(const Vector& b) const {
 }
 
 void DenseLu::solveInPlace(Vector& b) const {
-    const std::size_t n = lu_.rows();
-    SNA_REQUIRE(b.size() == n, "rhs size mismatch in LU solve");
-    // Apply permutation.
-    Vector y(n);
-    for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
-    // Forward substitution (unit lower).
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = y[i];
-        for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * y[j];
-        y[i] = acc;
-    }
-    // Back substitution.
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = y[ii];
-        for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * y[j];
-        y[ii] = acc / lu_(ii, ii);
-    }
-    b = std::move(y);
+    Vector work;
+    luSolveInPlace(lu_, perm_, b, work);
 }
 
 double DenseLu::determinant() const {

@@ -2,9 +2,11 @@
 //
 // Sized for the workloads of this library: MNA systems of a few hundred
 // unknowns (full SPICE on extracted clusters) down to ~10 unknowns (the
-// cluster macromodel engine). LU uses partial pivoting; factorizations are
-// value types so an engine can keep one per Newton iteration without heap
-// churn beyond the pivot/value vectors.
+// cluster macromodel engine). LU uses partial pivoting. The factorization
+// itself is the free pair luFactorInPlace/luSolveInPlace, which work on
+// caller-owned storage so a Newton loop can factor and solve every
+// iteration without allocating; DenseLu is the owning convenience wrapper
+// over the same two functions.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +33,9 @@ public:
     double operator()(std::size_t r, std::size_t c) const {
         return data_[r * cols_ + c];
     }
+    /// Pointer to the first entry of row r (rows are contiguous).
+    double* row(std::size_t r) { return data_.data() + r * cols_; }
+    const double* row(std::size_t r) const { return data_.data() + r * cols_; }
 
     /// Reset every entry to zero, keeping the shape (hot path in Newton).
     void setZero();
@@ -54,7 +59,20 @@ private:
     std::vector<double> data_;
 };
 
-/// LU factorization with partial pivoting (Doolittle).
+/// LU-factors the square matrix `a` in place with partial pivoting
+/// (Doolittle): afterwards the strict lower triangle holds the unit-lower
+/// multipliers and the rest holds U. perm[i] is the original row of factor
+/// row i (resized to n). Returns the permutation sign (+1/-1). Throws
+/// sna::ConvergenceError if a pivot falls below `pivotTol`.
+int luFactorInPlace(DenseMatrix& a, std::vector<std::size_t>& perm,
+                    double pivotTol = 1e-14);
+
+/// Solves A x = b with factors from luFactorInPlace; b is replaced by x.
+/// `work` is scratch, resized to n (no allocation once it has that size).
+void luSolveInPlace(const DenseMatrix& lu, const std::vector<std::size_t>& perm,
+                    Vector& b, Vector& work);
+
+/// LU factorization with partial pivoting (Doolittle), owning its factors.
 class DenseLu {
 public:
     /// Factorizes a copy of `a`. Throws sna::ConvergenceError if the matrix
@@ -66,7 +84,7 @@ public:
     /// Solve A x = b.
     Vector solve(const Vector& b) const;
 
-    /// In-place solve, b is replaced by x (no allocation).
+    /// In-place solve, b is replaced by x.
     void solveInPlace(Vector& b) const;
 
     /// Determinant of A (with pivot signs).

@@ -45,6 +45,14 @@ void Circuit::registerDevice(std::unique_ptr<Device> dev) {
                     "device references unknown node");
         nodeDevices_[n].push_back(idx);
     }
+    if (const std::size_t sc = dev->stateCount(); sc > 0) {
+        dev->stateBase_ = stateSlots_;
+        stateSlots_ += sc;
+    }
+    if (const std::size_t bc = dev->branchCount(); bc > 0) {
+        dev->branchOffset_ = branchUnknowns_;
+        branchUnknowns_ += bc;
+    }
     devices_.push_back(std::move(dev));
 }
 

@@ -65,6 +65,11 @@ public:
     /// Devices touching a node (indices into devices()).
     const std::vector<std::size_t>& devicesAt(NodeId n) const;
 
+    /// Total transient-state slots and branch unknowns over all devices
+    /// (see Device::stateBase / Device::branchOffset).
+    std::size_t stateSlots() const { return stateSlots_; }
+    std::size_t branchUnknowns() const { return branchUnknowns_; }
+
 private:
     template <typename T, typename... Args>
     T& emplaceDevice(Args&&... args) {
@@ -74,7 +79,8 @@ private:
         return ref;
     }
 
-    /// Validates the name/node references and indexes the device.
+    /// Validates the name/node references, indexes the device and assigns
+    /// its state base and branch offset.
     void registerDevice(std::unique_ptr<Device> dev);
 
     std::vector<std::string> names_;
@@ -82,6 +88,8 @@ private:
     std::vector<std::unique_ptr<Device>> devices_;
     std::unordered_map<std::string, std::size_t> deviceByName_;
     mutable std::vector<std::vector<std::size_t>> nodeDevices_;
+    std::size_t stateSlots_ = 0;
+    std::size_t branchUnknowns_ = 0;
 };
 
 }  // namespace sna::spice

@@ -67,9 +67,26 @@ public:
     /// current is determined by the rest of the circuit).
     virtual double currentInto(NodeId n, const EvalContext& ctx) const = 0;
 
+    /// Unassigned state base / branch offset.
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    /// First transient-state slot of this device in its circuit's state
+    /// vector, or npos when it has none. Assigned once by the owning
+    /// Circuit at registration and immutable afterwards, so any number of
+    /// MNA maps over one circuit read it without sharing mutable state.
+    std::size_t stateBase() const { return stateBase_; }
+    /// First branch unknown of this device, counted from the start of the
+    /// branch block (MnaMap places that block after the node unknowns), or
+    /// npos when it has none. Assigned like stateBase().
+    std::size_t branchOffset() const { return branchOffset_; }
+
 private:
+    friend class Circuit;
+
     std::string name_;
     std::vector<NodeId> nodes_;
+    std::size_t stateBase_ = npos;
+    std::size_t branchOffset_ = npos;
 };
 
 class Resistor : public Device {

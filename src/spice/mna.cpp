@@ -38,31 +38,63 @@ double EvalContext::vPrev(NodeId n) const {
     return map_.voltagePrev(n, *xPrev_);
 }
 
+namespace {
+
+std::size_t stateIndex(const Device& d, std::size_t slot,
+                       const std::vector<double>& state) {
+    const std::size_t base = d.stateBase();
+    SNA_REQUIRE(base < state.size() && slot < state.size() - base,
+                "device has no state slot " + std::to_string(slot) + ": " +
+                    d.name());
+    return base + slot;
+}
+
+}  // namespace
+
 double EvalContext::state(const Device& d, std::size_t slot) const {
     SNA_REQUIRE(statePrev_ != nullptr, "no state storage in this context");
-    return (*statePrev_)[map_.stateBaseOf(d) + slot];
+    return (*statePrev_)[stateIndex(d, slot, *statePrev_)];
 }
 
 void EvalContext::setState(const Device& d, std::size_t slot, double v) const {
     SNA_REQUIRE(stateNext_ != nullptr, "no writable state in this context");
-    (*stateNext_)[map_.stateBaseOf(d) + slot] = v;
+    (*stateNext_)[stateIndex(d, slot, *stateNext_)] = v;
 }
 
 int EvalContext::branchRow(const Device& d, std::size_t branch) const {
-    return map_.branchBaseOf(d) + static_cast<int>(branch);
+    SNA_REQUIRE(d.branchOffset() != Device::npos,
+                "device has no branch rows: " + d.name());
+    return static_cast<int>(map_.nodeUnknowns() + d.branchOffset() + branch);
 }
 
 // ----------------------------------------------------------------- Stamper
 
 Stamper::Stamper(const MnaMap& map, la::SparseMatrix& j, la::Vector& rhs)
-    : map_(map), j_(j), rhs_(rhs) {}
+    : map_(map), sparse_(&j), rhs_(rhs) {}
+
+Stamper::Stamper(const MnaMap& map, la::DenseMatrix& j, la::Vector& rhs)
+    : map_(map), dense_(&j), rhs_(rhs) {}
+
+void Stamper::add(int r, int c, double v) {
+    if (dense_ == nullptr) {
+        sparse_->add(static_cast<std::size_t>(r), static_cast<std::size_t>(c),
+                     v);
+        return;
+    }
+    const std::size_t n = dense_->rows();
+    SNA_REQUIRE(r >= 0 && c >= 0 && static_cast<std::size_t>(r) < n &&
+                    static_cast<std::size_t>(c) < n,
+                "dense stamp outside matrix");
+    if (v == 0.0) return;
+    (*dense_)(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
+}
 
 void Stamper::dependence(NodeId node, NodeId ctrl, double didv) {
     const int row = map_.indexOf(node);
     if (row < 0) return;
     const int col = map_.indexOf(ctrl);
     if (col >= 0) {
-        j_.add(row, col, didv);
+        add(row, col, didv);
     } else {
         rhs_[row] -= didv * map_.knownVoltage(ctrl);
     }
@@ -81,7 +113,7 @@ void Stamper::current(NodeId n, double i) {
 }
 
 void Stamper::norton(NodeId from, NodeId to, double i0,
-                     const std::vector<std::pair<NodeId, double>>& partials,
+                     std::initializer_list<std::pair<NodeId, double>> partials,
                      const EvalContext& ctx) {
     double linearizedAtPoint = 0.0;
     for (const auto& [ctrl, g] : partials) {
@@ -100,13 +132,13 @@ void Stamper::branchVoltage(int branch, NodeId pos, NodeId neg, double value) {
     double rhs = value;
     const int ip = map_.indexOf(pos);
     if (ip >= 0) {
-        j_.add(branch, ip, +1.0);
+        add(branch, ip, +1.0);
     } else {
         rhs -= map_.knownVoltage(pos);
     }
     const int in = map_.indexOf(neg);
     if (in >= 0) {
-        j_.add(branch, in, -1.0);
+        add(branch, in, -1.0);
     } else {
         rhs += map_.knownVoltage(neg);
     }
@@ -116,7 +148,7 @@ void Stamper::branchVoltage(int branch, NodeId pos, NodeId neg, double value) {
 void Stamper::branchControl(int branch, NodeId ctrl, double coeff) {
     const int ic = map_.indexOf(ctrl);
     if (ic >= 0) {
-        j_.add(branch, ic, coeff);
+        add(branch, ic, coeff);
     } else {
         rhs_[branch] -= coeff * map_.knownVoltage(ctrl);
     }
@@ -124,20 +156,20 @@ void Stamper::branchControl(int branch, NodeId ctrl, double coeff) {
 
 void Stamper::branchCurrentInto(int branch, NodeId pos, NodeId neg) {
     const int ip = map_.indexOf(pos);
-    if (ip >= 0) j_.add(ip, branch, +1.0);
+    if (ip >= 0) add(ip, branch, +1.0);
     const int in = map_.indexOf(neg);
-    if (in >= 0) j_.add(in, branch, -1.0);
+    if (in >= 0) add(in, branch, -1.0);
 }
 
 void Stamper::branchPair(int row, int branchCol, double value) {
-    j_.add(row, branchCol, value);
+    add(row, branchCol, value);
 }
 
 void Stamper::branchRhs(int row, double value) { rhs_[row] += value; }
 
 void Stamper::nodeBranch(NodeId n, int branchCol, double coeff) {
     const int row = map_.indexOf(n);
-    if (row >= 0) j_.add(row, branchCol, coeff);
+    if (row >= 0) add(row, branchCol, coeff);
 }
 
 // ------------------------------------------------------------------ MnaMap
@@ -174,22 +206,18 @@ MnaMap::MnaMap(const Circuit& circuit) : circuit_(&circuit) {
     for (NodeId id = 1; id < static_cast<NodeId>(n); ++id) {
         if (!fixed_[id]) index_[id] = static_cast<int>(nodeUnknowns_++);
     }
-    unknowns_ = nodeUnknowns_;
 
-    // Pass 3: branch unknowns and state slots.
-    for (const auto& dev : circuit.devices()) {
-        if (const std::size_t bc = dev->branchCount(); bc > 0) {
-            branchBase_[dev.get()] = static_cast<int>(unknowns_);
-            unknowns_ += bc;
-        }
-        if (const std::size_t sc = dev->stateCount(); sc > 0) {
-            stateBase_[dev.get()] = stateSlots_;
-            stateSlots_ += sc;
-        }
-    }
+    // Branch unknowns follow the node unknowns, in device order (the
+    // circuit assigned each device its offset at registration).
+    unknowns_ = nodeUnknowns_ + circuit.branchUnknowns();
+    // Branch rows have structurally zero diagonals, which the pivot-free
+    // sparse path cannot handle; and below a few hundred unknowns the dense
+    // LU's cache behavior beats the list-based sparse factorization.
+    useDense_ = hasBranches() || unknowns_ < 280;
+    if (!useDense_) sparse_ = la::SparseMatrix(unknowns_);
+    rhs_.assign(unknowns_, 0.0);
 
-    updateFixed(0.0, 1.0);
-    commitFixed();
+    reset();
 }
 
 double MnaMap::voltage(NodeId n, const la::Vector& x) const {
@@ -222,16 +250,10 @@ void MnaMap::updateFixed(double time, double srcScale) {
 
 void MnaMap::commitFixed() { fixedPrev_ = fixedValue_; }
 
-std::size_t MnaMap::stateBaseOf(const Device& d) const {
-    const auto it = stateBase_.find(&d);
-    SNA_REQUIRE(it != stateBase_.end(), "device has no state slots: " + d.name());
-    return it->second;
-}
-
-int MnaMap::branchBaseOf(const Device& d) const {
-    const auto it = branchBase_.find(&d);
-    SNA_REQUIRE(it != branchBase_.end(), "device has no branch rows: " + d.name());
-    return it->second;
+void MnaMap::reset() {
+    gmin_ = 1e-12;
+    updateFixed(0.0, 1.0);
+    commitFixed();
 }
 
 void MnaMap::assemble(la::SparseMatrix& j, la::Vector& rhs,
@@ -246,6 +268,35 @@ void MnaMap::assemble(la::SparseMatrix& j, la::Vector& rhs,
     }
 }
 
+void MnaMap::assemble(la::DenseMatrix& j, la::Vector& rhs,
+                      const EvalContext& ctx) const {
+    SNA_REQUIRE(j.rows() == unknowns_ && j.cols() == unknowns_ &&
+                    rhs.size() == unknowns_,
+                "dense assembly target has the wrong shape");
+    j.setZero();
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+    Stamper st(*this, j, rhs);
+    for (const auto& dev : circuit_->devices()) dev->stamp(st, ctx);
+    if (gmin_ != 0.0) {
+        for (std::size_t i = 0; i < nodeUnknowns_; ++i) j(i, i) += gmin_;
+    }
+}
+
+const la::Vector& MnaMap::solveLinearized(const EvalContext& ctx) {
+    if (useDense_) {
+        if (dense_.rows() != unknowns_) {
+            dense_ = la::DenseMatrix(unknowns_, unknowns_);
+        }
+        assemble(dense_, rhs_, ctx);
+        la::luFactorInPlace(dense_, perm_);
+        la::luSolveInPlace(dense_, perm_, rhs_, work_);
+    } else {
+        assemble(sparse_, rhs_, ctx);
+        rhs_ = la::solveSparse(sparse_, rhs_);
+    }
+    return rhs_;
+}
+
 // ------------------------------------------------------------------ Newton
 
 NewtonStats solveNewton(MnaMap& map, la::Vector& x, double time, double dt,
@@ -256,25 +307,13 @@ NewtonStats solveNewton(MnaMap& map, la::Vector& x, double time, double dt,
     const std::size_t n = map.unknowns();
     SNA_REQUIRE(x.size() == n, "initial guess has wrong dimension");
     map.updateFixed(time, srcScale);
-    la::SparseMatrix j(n);
-    la::Vector rhs(n, 0.0);
-    // Branch rows have structurally zero diagonals, which the pivot-free
-    // sparse path cannot handle; and below a few hundred unknowns the dense
-    // LU's cache behavior beats the list-based sparse factorization.
-    const bool useDense = map.hasBranches() || n < 280;
 
     NewtonStats stats;
     for (int iter = 0; iter < opt.maxIterations; ++iter) {
         ++stats.iterations;
         EvalContext ctx(map, x, xPrev, time, dt, method, transient, srcScale,
                         statePrev, nullptr);
-        map.assemble(j, rhs, ctx);
-        la::Vector xNew;
-        if (useDense) {
-            xNew = la::solveDense(j.toDense(), rhs);
-        } else {
-            xNew = la::solveSparse(j, rhs);
-        }
+        const la::Vector& xNew = map.solveLinearized(ctx);
         double worst = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             worst = std::max(worst, std::abs(xNew[i] - x[i]));
@@ -283,7 +322,7 @@ NewtonStats solveNewton(MnaMap& map, la::Vector& x, double time, double dt,
             throw ConvergenceError("Newton produced a non-finite update");
         }
         if (worst <= opt.vtol) {
-            x = std::move(xNew);
+            std::copy(xNew.begin(), xNew.end(), x.begin());
             stats.converged = true;
             return stats;
         }

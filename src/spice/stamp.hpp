@@ -5,9 +5,15 @@
 // point, plus integration data) and a Stamper (linearized-KCL primitives).
 // The assembler owns fixed-node elimination: stamps that touch a ground or
 // source-fixed node are folded into the right-hand side transparently.
+// A Stamper writes either straight into a dense matrix (the small-system
+// path, allocation-free) or into a sparse triplet list; both skip zero
+// values and sum each entry in stamp order, so the dense matrix is bitwise
+// the triplet list's toDense().
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "la/dense.hpp"
@@ -43,7 +49,7 @@ public:
     /// Independent-source scale in [0,1] (source-stepping homotopy).
     double srcScale() const { return srcScale_; }
 
-    /// Per-device transient state (slot offsets resolved through the map).
+    /// Per-device transient state (slot offsets from Device::stateBase).
     double state(const class Device& d, std::size_t slot) const;
     void setState(const class Device& d, std::size_t slot, double v) const;
 
@@ -66,7 +72,10 @@ private:
 /// Linearized-KCL stamp primitives over J x = rhs.
 class Stamper {
 public:
+    /// Stamps into a triplet list (the large-system sparse path).
     Stamper(const class MnaMap& map, la::SparseMatrix& j, la::Vector& rhs);
+    /// Stamps straight into a dense, caller-zeroed matrix.
+    Stamper(const class MnaMap& map, la::DenseMatrix& j, la::Vector& rhs);
 
     /// Two-terminal conductance g between a and b.
     void conductance(NodeId a, NodeId b, double g);
@@ -83,7 +92,7 @@ public:
     /// point, `partials` the (ctrl node, d i/d v_ctrl) pairs, and `vAt`
     /// supplies the linearization-point voltages (EvalContext::v).
     void norton(NodeId from, NodeId to, double i0,
-                const std::vector<std::pair<NodeId, double>>& partials,
+                std::initializer_list<std::pair<NodeId, double>> partials,
                 const EvalContext& ctx);
 
     /// Branch-equation access for floating voltage sources / VCVS.
@@ -100,8 +109,12 @@ public:
     void nodeBranch(NodeId n, int branchCol, double coeff);
 
 private:
+    /// J(r, c) += v, skipping zeros exactly like SparseMatrix::add.
+    void add(int r, int c, double v);
+
     const MnaMap& map_;
-    la::SparseMatrix& j_;
+    la::SparseMatrix* sparse_ = nullptr;
+    la::DenseMatrix* dense_ = nullptr;
     la::Vector& rhs_;
 };
 

@@ -49,46 +49,66 @@ std::vector<double> collectBreakpoints(const Circuit& circuit, double tstop) {
 
 }  // namespace
 
-TranResult simulateTransient(const Circuit& circuit,
-                             const TranOptions& options) {
+TransientEngine::TransientEngine(const Circuit& circuit) : map_(circuit) {}
+
+TranResult TransientEngine::run(const TranOptions& options) {
     SNA_REQUIRE(options.tstop > 0.0, "transient needs a positive tstop");
+    const Circuit& circuit = map_.circuit();
     const double tstop = options.tstop;
     const double dtInit =
         (options.dtInit > 0.0) ? options.dtInit : tstop / 5000.0;
     const double dtMax = (options.dtMax > 0.0) ? options.dtMax : tstop / 50.0;
     const double dtMin = options.dtMin;
 
-    MnaMap map(circuit);
-    TranResult result;
+    // --- recorded nodes ----------------------------------------------------
+    std::vector<NodeId> probed;
+    if (options.probes.empty()) {
+        for (NodeId id = 1; id < static_cast<NodeId>(circuit.nodeCount());
+             ++id) {
+            probed.push_back(id);
+        }
+    } else {
+        for (const std::string& name : options.probes) {
+            const auto id = circuit.findNode(name);
+            SNA_REQUIRE(id.has_value() && *id != kGround,
+                        "transient probe '" + name +
+                            "' is not a non-ground node of the circuit");
+            if (std::find(probed.begin(), probed.end(), *id) == probed.end()) {
+                probed.push_back(*id);
+            }
+        }
+    }
 
     // --- initial condition -------------------------------------------------
-    map.updateFixed(0.0, 1.0);
-    la::Vector x(map.unknowns(), 0.0);
-    robustDcSolve(map, x, options.dc);
-    map.setGmin(1e-12);
-    map.updateFixed(0.0, 1.0);
-    map.commitFixed();
+    // A reused engine starts exactly where a fresh map would.
+    map_.reset();
+    const std::size_t n = map_.unknowns();
+    x_.assign(n, 0.0);
+    robustDcSolve(map_, x_, options.dc);
+    map_.setGmin(1e-12);
+    map_.updateFixed(0.0, 1.0);
+    map_.commitFixed();
 
-    std::vector<double> statePrev(map.stateSlots(), 0.0);
-    std::vector<double> stateNext(map.stateSlots(), 0.0);
+    statePrev_.assign(map_.stateSlots(), 0.0);
+    stateNext_.assign(map_.stateSlots(), 0.0);
     {
-        EvalContext ctx(map, x, nullptr, 0.0, 0.0, Integration::BackwardEuler,
-                        /*transient=*/false, 1.0, &statePrev, &stateNext);
+        EvalContext ctx(map_, x_, nullptr, 0.0, 0.0,
+                        Integration::BackwardEuler, /*transient=*/false, 1.0,
+                        &statePrev_, &stateNext_);
         for (const auto& dev : circuit.devices()) {
             if (dev->stateCount() > 0) dev->updateState(ctx);
         }
-        statePrev = stateNext;
+        statePrev_ = stateNext_;
     }
 
     // --- recording ---------------------------------------------------------
-    const std::size_t nodeCount = circuit.nodeCount();
-    std::vector<std::vector<wave::Sample>> record(nodeCount);
-    auto recordAll = [&](double t) {
-        for (NodeId id = 1; id < static_cast<NodeId>(nodeCount); ++id) {
-            record[id].push_back({t, map.voltage(id, x)});
+    std::vector<std::vector<wave::Sample>> record(probed.size());
+    auto recordProbes = [&](double t) {
+        for (std::size_t k = 0; k < probed.size(); ++k) {
+            record[k].push_back({t, map_.voltage(probed[k], x_)});
         }
     };
-    recordAll(0.0);
+    recordProbes(0.0);
 
     // --- main loop ----------------------------------------------------------
     const std::vector<double> breakpoints = collectBreakpoints(circuit, tstop);
@@ -97,8 +117,12 @@ TranResult simulateTransient(const Circuit& circuit,
     double t = 0.0;
     double dt = dtInit;
     double dtPrevAccepted = 0.0;
-    la::Vector xOlder;           // solution one accepted point earlier
-    bool haveHistory = false;    // xOlder valid (for the predictor)
+    // Per-step vectors, sized once: assignments between them below never
+    // allocate. xOlder_ is the solution one accepted point earlier.
+    xPred_.assign(n, 0.0);
+    xNew_.assign(n, 0.0);
+    xOlder_.assign(n, 0.0);
+    bool haveHistory = false;    // xOlder_ valid (for the predictor)
     bool forceBe = true;         // BE on the first step and after breakpoints
 
     TranStats stats;
@@ -124,23 +148,23 @@ TranResult simulateTransient(const Circuit& circuit,
             forceBe ? Integration::BackwardEuler : Integration::Trapezoidal;
 
         // Predictor as the Newton initial guess (and the LTE reference).
-        la::Vector xGuess = x;
-        la::Vector xPred = x;
         const bool canPredict = haveHistory && dtPrevAccepted > 0.0;
         if (canPredict) {
             const double a = dt / dtPrevAccepted;
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                xPred[i] = x[i] + a * (x[i] - xOlder[i]);
+            for (std::size_t i = 0; i < n; ++i) {
+                xPred_[i] = x_[i] + a * (x_[i] - xOlder_[i]);
             }
-            xGuess = xPred;
+            xNew_ = xPred_;
+        } else {
+            xNew_ = x_;
         }
 
-        la::Vector xNew = xGuess;
         bool converged = false;
         try {
             const NewtonStats ns =
-                solveNewton(map, xNew, t + dt, dt, method, /*transient=*/true,
-                            1.0, &x, &statePrev, options.newton);
+                solveNewton(map_, xNew_, t + dt, dt, method,
+                            /*transient=*/true, 1.0, &x_, &statePrev_,
+                            options.newton);
             stats.newtonIterations += ns.iterations;
             converged = ns.converged;
         } catch (const ConvergenceError&) {
@@ -160,12 +184,12 @@ TranResult simulateTransient(const Circuit& circuit,
         // LTE control: compare the corrector against the linear predictor.
         if (canPredict && method == Integration::Trapezoidal) {
             double eps = 0.0;
-            for (std::size_t i = 0; i < xNew.size(); ++i) {
+            for (std::size_t i = 0; i < n; ++i) {
                 const double scale =
                     options.reltol *
-                        std::max(std::abs(xNew[i]), std::abs(x[i])) +
+                        std::max(std::abs(xNew_[i]), std::abs(x_[i])) +
                     options.abstol;
-                eps = std::max(eps, std::abs(xNew[i] - xPred[i]) / scale);
+                eps = std::max(eps, std::abs(xNew_[i] - xPred_[i]) / scale);
             }
             if (eps > 1.0 && dt > dtMin * 4.0 && !hitsBp) {
                 ++stats.rejected;
@@ -184,21 +208,22 @@ TranResult simulateTransient(const Circuit& circuit,
 
         // Commit the step.
         {
-            EvalContext ctx(map, xNew, &x, t + dtPrevAccepted, dtPrevAccepted,
-                            method, /*transient=*/true, 1.0, &statePrev,
-                            &stateNext);
+            EvalContext ctx(map_, xNew_, &x_, t + dtPrevAccepted,
+                            dtPrevAccepted, method, /*transient=*/true, 1.0,
+                            &statePrev_, &stateNext_);
             for (const auto& dev : circuit.devices()) {
                 if (dev->stateCount() > 0) dev->updateState(ctx);
             }
-            statePrev = stateNext;
+            statePrev_ = stateNext_;
         }
-        map.commitFixed();
-        xOlder = x;
-        x = xNew;
+        map_.commitFixed();
+        // Rotate: xOlder_ <- x_, x_ <- xNew_ (xNew_ is rewritten next step).
+        xOlder_.swap(x_);
+        x_.swap(xNew_);
         haveHistory = true;
         t += dtPrevAccepted;
         ++stats.accepted;
-        recordAll(t);
+        recordProbes(t);
 
         if (hitsBp) {
             // Slope discontinuity: restart integration gently.
@@ -211,15 +236,21 @@ TranResult simulateTransient(const Circuit& circuit,
     }
 
     // --- package ------------------------------------------------------------
+    TranResult result;
     result.stats_ = stats;
-    for (NodeId id = 1; id < static_cast<NodeId>(nodeCount); ++id) {
-        result.waves_.emplace(circuit.nodeName(id),
-                              wave::Waveform(std::move(record[id])));
+    for (std::size_t k = 0; k < probed.size(); ++k) {
+        result.waves_.emplace(circuit.nodeName(probed[k]),
+                              wave::Waveform(std::move(record[k])));
     }
     log::debug() << "transient: " << stats.accepted << " steps, "
                  << stats.rejected << " rejected, " << stats.newtonIterations
                  << " newton iterations";
     return result;
+}
+
+TranResult simulateTransient(const Circuit& circuit,
+                             const TranOptions& options) {
+    return TransientEngine(circuit).run(options);
 }
 
 }  // namespace sna::spice

@@ -9,6 +9,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "spice/dc.hpp"
 #include "waveform/waveform.hpp"
@@ -25,6 +26,10 @@ struct TranOptions {
     std::size_t maxSteps = 2'000'000;
     NewtonOptions newton;
     DcOptions dc;
+    /// Nodes to record, by name; empty records every node. Callers name the
+    /// nodes they read so a run stores only those waveforms. A name that is
+    /// not a non-ground node of the circuit throws LogicError.
+    std::vector<std::string> probes;
 };
 
 struct TranStats {
@@ -40,13 +45,32 @@ public:
     const TranStats& stats() const { return stats_; }
 
 private:
-    friend TranResult simulateTransient(const Circuit&, const TranOptions&);
+    friend class TransientEngine;
     std::unordered_map<std::string, wave::Waveform> waves_;
     TranStats stats_;
 };
 
+/// The transient loop over one circuit, keeping its MNA map and per-step
+/// vectors across runs. A caller that only re-arms source specs between
+/// runs (the alignment search's probes) reuses one engine; every run starts
+/// from the reset state of a fresh map, so it is bitwise the result of
+/// simulateTransient on the same circuit. The circuit must outlive the
+/// engine and keep its devices. Not thread-safe: one engine per thread.
+class TransientEngine {
+public:
+    explicit TransientEngine(const Circuit& circuit);
+
+    TranResult run(const TranOptions& options);
+
+private:
+    MnaMap map_;
+    la::Vector x_, xPred_, xNew_, xOlder_;
+    std::vector<double> statePrev_, stateNext_;
+};
+
 /// Run a transient from a DC initial condition to options.tstop, recording
-/// every node voltage as a piecewise-linear waveform.
+/// the probed node voltages (every node by default) as piecewise-linear
+/// waveforms.
 TranResult simulateTransient(const Circuit& circuit,
                              const TranOptions& options);
 

@@ -21,6 +21,7 @@
 #include "charlib/char_cache.hpp"
 #include "charlib/model_io.hpp"
 #include "tech/tech.hpp"
+#include "testsupport/temp_cache.hpp"
 #include "waveform/waveform.hpp"
 #include "util/strings.hpp"
 
@@ -165,7 +166,8 @@ TEST(LocalePortability, ModelAndCacheRoundTripUnderCommaDecimalCLocale) {
     expectModelRoundTrip();
 
     const cell::CellLibrary lib(tech::tech130());
-    const std::string path = tmpPath("sna_locale.snacache");
+    const testsupport::TempCacheFile file(tmpPath("sna_locale.snacache"));
+    const std::string& path = file.path();
     charlib::CharCache cache;
     seededCache(cache, lib, 4);
     const auto saved = cache.save(path);
@@ -175,7 +177,6 @@ TEST(LocalePortability, ModelAndCacheRoundTripUnderCommaDecimalCLocale) {
     const auto loaded = fresh.load(path);
     EXPECT_TRUE(loaded.ok) << loaded.error;
     EXPECT_EQ(loaded.entries, 4u);
-    std::remove(path.c_str());
 }
 
 TEST(LocalePortability, StreamsUnderCommaDecimalGlobalCppLocale) {
@@ -213,7 +214,8 @@ TEST(ConcurrentSave, TwoWritersOnePathNeverCorrupt) {
     // Not "sna_concurrent.snacache": test_incremental writes that file, and
     // ctest runs the two suites concurrently in one temp directory.
     const std::string name = "sna_portability_concurrent.snacache";
-    const std::string path = tmpPath(name);
+    const testsupport::TempCacheFile file(tmpPath(name));
+    const std::string& path = file.path();
     charlib::CharCache cache;
     seededCache(cache, lib, 8);
 
@@ -246,7 +248,6 @@ TEST(ConcurrentSave, TwoWritersOnePathNeverCorrupt) {
         if (base.rfind(name + ".tmp.", 0) == 0) ++leftover;
     }
     EXPECT_EQ(leftover, 0u);
-    std::remove(path.c_str());
 }
 
 }  // namespace

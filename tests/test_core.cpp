@@ -3,7 +3,10 @@
 // the design-level flow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
 
 #include "core/alignment.hpp"
 #include "core/baselines.hpp"
@@ -302,6 +305,46 @@ TEST(Alignment, RequiresMatchingAggressorCount) {
     const ClusterSpec spec = paperCluster();
     const ClusterMacromodel model(spec);
     EXPECT_THROW(model.analyzeAt({1e-10, 2e-10}, 1e-10), LogicError);
+}
+
+// One engine probed in a scrambled order — switch times jumping back and
+// forth, aggressors going quiet (+inf) and switching again — must return
+// exactly what a freshly built circuit returns for every probe; any state
+// leaking from one probe into the next shows up as a bit difference.
+void expectEngineMatchesFreshCircuits(const ClusterMacromodel& model) {
+    const double quiet = std::numeric_limits<double>::infinity();
+    std::vector<std::pair<std::vector<double>, double>> probes{
+        {{0.5e-9, 0.3e-9}, 0.45e-9}, {{quiet, 0.6e-9}, 0.2e-9},
+        {{0.1e-9, quiet}, 0.7e-9},   {{quiet, quiet}, 0.4e-9},
+        {{0.9e-9, 0.2e-9}, 0.0},     {{0.0, 1.5e-9}, 1.1e-9},
+        {{0.5e-9, 0.3e-9}, 0.45e-9}, {{quiet, 0.6e-9}, 0.2e-9},
+    };
+    std::shuffle(probes.begin(), probes.end(), std::mt19937_64(11));
+    core::MacromodelEngine engine(model);
+    for (const auto& [aggTimes, glitchTime] : probes) {
+        const auto reused = engine.run(aggTimes, glitchTime);
+        const auto fresh = model.analyzeAt(aggTimes, glitchTime);
+        const auto& a = reused.waveform.samples();
+        const auto& b = fresh.waveform.samples();
+        ASSERT_EQ(a.size(), b.size()) << "glitch at " << glitchTime;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i].t, b[i].t) << "sample " << i;
+            ASSERT_EQ(a[i].v, b[i].v) << "sample " << i;
+        }
+        EXPECT_EQ(reused.metrics.peak, fresh.metrics.peak);
+        EXPECT_EQ(reused.metrics.area, fresh.metrics.area);
+        EXPECT_EQ(reused.metrics.width, fresh.metrics.width);
+        EXPECT_EQ(reused.engineNodes, fresh.engineNodes);
+    }
+}
+
+TEST(Alignment, ReusedEngineMatchesFreshCircuitForEveryProbe) {
+    expectEngineMatchesFreshCircuits(ClusterMacromodel(paperCluster(0.7, 2)));
+    expectEngineMatchesFreshCircuits(ClusterMacromodel(paperCluster(0.0, 2)));
+    ClusterMacromodel::Options prima;
+    prima.usePrima = true;  // branch unknowns and multiport state
+    expectEngineMatchesFreshCircuits(
+        ClusterMacromodel(paperCluster(0.7, 2), prima));
 }
 
 TEST(Report, FlagsLargeGlitchAgainstNrc) {

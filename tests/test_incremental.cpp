@@ -19,6 +19,7 @@
 #include "core/design_index.hpp"
 #include "core/incremental.hpp"
 #include "core/sna.hpp"
+#include "testsupport/temp_cache.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -194,7 +195,8 @@ TEST(CachePersist, SaveLoadRoundTripWarmStartReplacesAllRuns) {
     EXPECT_GT(coldStats.totalRuns(), 0u);
     EXPECT_EQ(coldStats.totalDiskHits(), 0u);
 
-    const std::string path = tmpPath("sna_roundtrip.snacache");
+    const testsupport::TempCacheFile file(tmpPath("sna_roundtrip.snacache"));
+    const std::string& path = file.path();
     const auto saved = cold.save(path);
     ASSERT_TRUE(saved.ok) << saved.error;
     EXPECT_EQ(saved.entries, coldStats.totalRuns());
@@ -212,11 +214,11 @@ TEST(CachePersist, SaveLoadRoundTripWarmStartReplacesAllRuns) {
     EXPECT_EQ(warmStats.totalRuns(), 0u);
     EXPECT_GT(warmStats.totalDiskHits(), 0u);
     expectSameReports(again, reports, "warm");
-    std::remove(path.c_str());
 }
 
 TEST(CachePersist, VersionMismatchLoadsNothingAndRecomputes) {
-    const std::string path = tmpPath("sna_version.snacache");
+    const testsupport::TempCacheFile file(tmpPath("sna_version.snacache"));
+    const std::string& path = file.path();
     {
         std::ofstream os(path);
         os << "snacache v9\n"
@@ -244,7 +246,6 @@ TEST(CachePersist, VersionMismatchLoadsNothingAndRecomputes) {
     opt.cache = &fresh;
     expectSameReports(core::analyzeDesign(design, spef, opt), reports,
                       "after bad load");
-    std::remove(path.c_str());
 }
 
 TEST(CachePersist, TruncatedFileKeepsValidPrefixAndRecomputesRest) {
@@ -257,7 +258,8 @@ TEST(CachePersist, TruncatedFileKeepsValidPrefixAndRecomputesRest) {
     charlib::CharCache cold;
     opt.cache = &cold;
     const auto reports = core::analyzeDesign(design, spef, opt);
-    const std::string path = tmpPath("sna_truncated.snacache");
+    const testsupport::TempCacheFile file(tmpPath("sna_truncated.snacache"));
+    const std::string& path = file.path();
     ASSERT_TRUE(cold.save(path).ok);
 
     // Chop the file mid-way: the valid prefix must load, the tail must be
@@ -284,14 +286,14 @@ TEST(CachePersist, TruncatedFileKeepsValidPrefixAndRecomputesRest) {
     EXPECT_GT(warmStats.totalRuns(), 0u);   // the chopped tail
     EXPECT_GT(warmStats.totalDiskHits(), 0u);  // the surviving prefix
     expectSameReports(again, reports, "truncated");
-    std::remove(path.c_str());
 }
 
 TEST(CachePersist, WrongTechnologyKeysNeverHit) {
     const auto spef = parser::parseSpef(ringSpef(4));
     auto opt = cheapOptions();
 
-    const std::string path = tmpPath("sna_wrongtech.snacache");
+    const testsupport::TempCacheFile file(tmpPath("sna_wrongtech.snacache"));
+    const std::string& path = file.path();
     {
         const cell::CellLibrary lib130(tech::tech130());
         core::Design design(lib130);
@@ -317,7 +319,6 @@ TEST(CachePersist, WrongTechnologyKeysNeverHit) {
     const auto stats = warm.stats();
     EXPECT_EQ(stats.totalDiskHits(), 0u);
     EXPECT_GT(stats.totalRuns(), 0u);
-    std::remove(path.c_str());
 }
 
 TEST(CachePersist, ConcurrentLoadIntoWarmCacheKeepsResultsIdentical) {
@@ -330,7 +331,8 @@ TEST(CachePersist, ConcurrentLoadIntoWarmCacheKeepsResultsIdentical) {
     charlib::CharCache reference;
     opt.cache = &reference;
     const auto expected = core::analyzeDesign(design, spef, opt);
-    const std::string path = tmpPath("sna_concurrent.snacache");
+    const testsupport::TempCacheFile file(tmpPath("sna_concurrent.snacache"));
+    const std::string& path = file.path();
     ASSERT_TRUE(reference.save(path).ok);
 
     // load() races against four workers characterizing into the same cache;
@@ -350,7 +352,6 @@ TEST(CachePersist, ConcurrentLoadIntoWarmCacheKeepsResultsIdentical) {
     // adds up: every request was a run, a memory hit, or a disk hit.
     const auto stats = shared.stats();
     EXPECT_GT(stats.totalRuns() + stats.totalDiskHits(), 0u);
-    std::remove(path.c_str());
 }
 
 TEST(CachePersist, TinyLimitsCountOverflowAndStayCorrect) {
@@ -383,11 +384,11 @@ TEST(CachePersist, TinyLimitsCountOverflowAndStayCorrect) {
     expectSameReports(reports, expected, "tiny limits");
 
     // A save() of the bounded cache only carries what was stored.
-    const std::string path = tmpPath("sna_tiny.snacache");
+    const testsupport::TempCacheFile file(tmpPath("sna_tiny.snacache"));
+    const std::string& path = file.path();
     const auto saved = tiny.save(path);
     ASSERT_TRUE(saved.ok) << saved.error;
     EXPECT_LE(saved.entries, 4u);
-    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------- dirty cone

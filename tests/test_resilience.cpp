@@ -34,6 +34,7 @@
 #include "util/rng.hpp"
 #include "util/task_scheduler.hpp"
 #include "util/thread_pool.hpp"
+#include "testsupport/temp_cache.hpp"
 
 // Sanitized builds run every body slower; shrink the long-chain fixtures
 // so the suite stays inside CI budgets (the logic under test is identical).
@@ -788,7 +789,6 @@ protected:
         auto opt = cheapOptions();
         opt.cache = &cache_;
         (void)core::analyzeDesign(*design_, spef_, opt);
-        path_ = tmpPath("sna_resilience.snacache");
         const auto saved = cache_.save(path_);
         ASSERT_TRUE(saved.ok) << saved.error;
         total_ = saved.entries;
@@ -798,7 +798,8 @@ protected:
     parser::SpefFile spef_;
     std::unique_ptr<core::Design> design_;
     charlib::CharCache cache_;
-    std::string path_;
+    const testsupport::TempCacheFile file_{tmpPath("sna_resilience.snacache")};
+    const std::string& path_ = file_.path();
     std::size_t total_ = 0;
 };
 
@@ -876,7 +877,9 @@ TEST_F(CacheFileTest, RandomTruncationNeverCrashesOrTearsARecord) {
     util::Rng rng(0xdecafbadULL);
     // Not "sna_truncated.snacache": test_incremental writes that file, and
     // ctest runs the two suites concurrently in one temp directory.
-    const std::string cut = tmpPath("sna_resilience_truncated.snacache");
+    const testsupport::TempCacheFile cutFile(
+        tmpPath("sna_resilience_truncated.snacache"));
+    const std::string& cut = cutFile.path();
     for (int trial = 0; trial < 50; ++trial) {
         const auto offset = static_cast<std::size_t>(
             rng.uniformInt(0, static_cast<int>(full.size()) - 1));
@@ -889,7 +892,6 @@ TEST_F(CacheFileTest, RandomTruncationNeverCrashesOrTearsARecord) {
         EXPECT_LE(loaded.entries + loaded.skipped + loaded.corrupt, total_)
             << "offset " << offset;
     }
-    std::remove(cut.c_str());
 }
 
 TEST_F(CacheFileTest, LegacyV1FilesStillLoad) {
@@ -921,14 +923,14 @@ TEST_F(CacheFileTest, LegacyV1FilesStillLoad) {
         v1 << v2.substr(pos, payloadBytes) << '\n';
         pos += payloadBytes + 1;
     }
-    const std::string v1Path = tmpPath("sna_legacy.snacache");
+    const testsupport::TempCacheFile v1File(tmpPath("sna_legacy.snacache"));
+    const std::string& v1Path = v1File.path();
     spit(v1Path, v1.str());
 
     charlib::CharCache warm;
     const auto loaded = warm.load(v1Path);
     EXPECT_TRUE(loaded.ok) << loaded.error;
     EXPECT_EQ(loaded.entries, total_);
-    std::remove(v1Path.c_str());
 }
 
 TEST_F(CacheFileTest, TwoProcessesSavingTheSamePathBothLeaveValidFiles) {
@@ -936,8 +938,9 @@ TEST_F(CacheFileTest, TwoProcessesSavingTheSamePathBothLeaveValidFiles) {
     // then hammers save() on a shared contended path. The advisory flock
     // serializes the writers; whatever the interleaving, the surviving
     // file must always be a complete, CRC-valid snapshot.
-    const std::string contended = tmpPath("sna_contended.snacache");
-    std::remove(contended.c_str());
+    const testsupport::TempCacheFile contendedFile(
+        tmpPath("sna_contended.snacache"));
+    const std::string& contended = contendedFile.path();
     const auto child = [&]() -> pid_t {
         const pid_t pid = ::fork();
         if (pid != 0) return pid;
@@ -966,8 +969,6 @@ TEST_F(CacheFileTest, TwoProcessesSavingTheSamePathBothLeaveValidFiles) {
     EXPECT_TRUE(loaded.ok) << loaded.error;
     EXPECT_EQ(loaded.entries, total_);
     EXPECT_EQ(loaded.corrupt, 0u);
-    std::remove(contended.c_str());
-    std::remove((contended + ".lock").c_str());
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Tests for the SPICE engine: MNA assembly, DC Newton, transient accuracy,
-// device physics, and KCL invariants.
+// device physics, KCL invariants, and bitwise equivalence of the in-place
+// dense solver with the triplet-list reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "la/dense.hpp"
+#include "la/sparse.hpp"
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
 #include "spice/tran.hpp"
@@ -405,6 +408,248 @@ TEST(Tran, RejectsNonPositiveStop) {
     spice::TranOptions opt;
     opt.tstop = 0.0;
     EXPECT_THROW(spice::simulateTransient(c, opt), LogicError);
+}
+
+// ------------------------------------------------------ solver equivalence
+//
+// The Newton core stamps straight into a reused dense matrix and factors it
+// in place. These tests pin it, bit for bit, to the straightforward path:
+// stamp a triplet list, copy it with toDense(), factor the copy by value.
+
+// Reference damped Newton over SparseMatrix + toDense + solveDense, with the
+// same convergence and damping rules as spice::solveNewton.
+spice::NewtonStats referenceNewton(spice::MnaMap& map, la::Vector& x,
+                                   double time, double dt,
+                                   spice::Integration method, bool transient,
+                                   const la::Vector* xPrev,
+                                   const std::vector<double>* statePrev) {
+    const spice::NewtonOptions opt;
+    map.updateFixed(time, 1.0);
+    la::SparseMatrix j(map.unknowns());
+    la::Vector rhs(map.unknowns(), 0.0);
+    spice::NewtonStats stats;
+    for (int iter = 0; iter < opt.maxIterations; ++iter) {
+        ++stats.iterations;
+        const spice::EvalContext ctx(map, x, xPrev, time, dt, method,
+                                     transient, 1.0, statePrev, nullptr);
+        map.assemble(j, rhs, ctx);
+        const la::Vector xNew = la::solveDense(j.toDense(), rhs);
+        double worst = 0.0;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            worst = std::max(worst, std::abs(xNew[i] - x[i]));
+        }
+        if (worst <= opt.vtol) {
+            x = xNew;
+            stats.converged = true;
+            return stats;
+        }
+        const double scale = (worst > opt.maxStep) ? opt.maxStep / worst : 1.0;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            x[i] += scale * (xNew[i] - x[i]);
+        }
+    }
+    return stats;
+}
+
+// Dense assembly equals toDense() of the triplet assembly, entry by entry.
+void expectSameAssembly(const spice::MnaMap& map,
+                        const spice::EvalContext& ctx) {
+    const std::size_t n = map.unknowns();
+    la::SparseMatrix trips(n);
+    la::Vector rhsSparse(n, 0.0);
+    map.assemble(trips, rhsSparse, ctx);
+    la::DenseMatrix dense(n, n);
+    la::Vector rhsDense(n, 0.0);
+    map.assemble(dense, rhsDense, ctx);
+    EXPECT_EQ(dense.data(), trips.toDense().data());
+    EXPECT_EQ(rhsDense, rhsSparse);
+}
+
+// DC Newton and one trapezoidal transient Newton from the DC point, on the
+// in-place path and the reference path: same iterations, same bits.
+void expectNewtonBitwise(const Circuit& c) {
+    spice::MnaMap inPlace(c);
+    spice::MnaMap reference(c);
+    ASSERT_TRUE(inPlace.usesDense());
+    const std::size_t n = inPlace.unknowns();
+
+    la::Vector xa(n, 0.0);
+    la::Vector xb(n, 0.0);
+    const auto sa = spice::solveNewton(
+        inPlace, xa, 0.0, 0.0, spice::Integration::BackwardEuler, false, 1.0,
+        nullptr, nullptr, spice::NewtonOptions{});
+    const auto sb = referenceNewton(reference, xb, 0.0, 0.0,
+                                    spice::Integration::BackwardEuler, false,
+                                    nullptr, nullptr);
+    ASSERT_TRUE(sa.converged);
+    EXPECT_EQ(sa.iterations, sb.iterations);
+    EXPECT_EQ(xa, xb);
+
+    // Nonzero capacitor/branch history exercises every companion term.
+    std::vector<double> state(inPlace.stateSlots());
+    for (std::size_t i = 0; i < state.size(); ++i) {
+        state[i] = 1e-6 * static_cast<double>(i + 1);
+    }
+    const la::Vector xPrev = xa;
+    const double dt = 2e-11;
+    for (const auto method :
+         {spice::Integration::BackwardEuler, spice::Integration::Trapezoidal}) {
+        const auto ta = spice::solveNewton(inPlace, xa, dt, dt, method, true,
+                                           1.0, &xPrev, &state,
+                                           spice::NewtonOptions{});
+        const auto tb = referenceNewton(reference, xb, dt, dt, method, true,
+                                        &xPrev, &state);
+        EXPECT_TRUE(ta.converged);
+        EXPECT_EQ(ta.iterations, tb.iterations);
+        EXPECT_EQ(xa, xb);
+        const spice::EvalContext ctx(inPlace, xa, &xPrev, dt, dt, method, true,
+                                     1.0, &state, nullptr);
+        expectSameAssembly(inPlace, ctx);
+    }
+}
+
+TEST(SolverEquivalence, InverterInPlaceNewtonMatchesTripletReference) {
+    InverterFixture f;
+    f.c.addVSource("vin", f.in, spice::kGround,
+                   SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 0.0, 5e-11,
+                                                       1e-9)));
+    f.c.addCapacitor("cload", f.out, spice::kGround, 10e-15);
+    expectNewtonBitwise(f.c);
+}
+
+TEST(SolverEquivalence, CoupledRcPairInPlaceNewtonMatchesTripletReference) {
+    Circuit c;
+    const auto agg = c.node("agg");
+    const auto vic = c.node("vic");
+    const auto aggFar = c.node("agg_far");
+    const auto vicFar = c.node("vic_far");
+    c.addVSource("va", agg, spice::kGround,
+                 SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 0.0, 5e-11, 1e-9)));
+    c.addResistor("rhold", vic, spice::kGround, 1000.0);
+    c.addResistor("ra", agg, aggFar, 250.0);
+    c.addResistor("rv", vic, vicFar, 250.0);
+    c.addCapacitor("cc_near", agg, vic, 12e-15);
+    c.addCapacitor("cc_far", aggFar, vicFar, 9e-15);
+    c.addCapacitor("cg_vic", vicFar, spice::kGround, 30e-15);
+    c.addCapacitor("cg_agg", aggFar, spice::kGround, 25e-15);
+    expectNewtonBitwise(c);
+}
+
+TEST(SolverEquivalence, VcvsBranchCircuitInPlaceNewtonMatchesTripletReference) {
+    Circuit c;
+    const auto in = c.node("in");
+    const auto mid = c.node("mid");
+    const auto out = c.node("out");
+    const auto top = c.node("top");
+    c.addVSource("vin", in, spice::kGround,
+                 SourceSpec::pwl(wave::saturatedRamp(0, 0.5, 0.0, 5e-11, 1e-9)));
+    c.addResistor("r1", in, mid, 1e3);
+    c.addCapacitor("c1", mid, spice::kGround, 20e-15);
+    c.addVcvs("e1", out, spice::kGround, mid, spice::kGround, 2.0);
+    c.addVSource("vstack", top, out, SourceSpec::dc(0.3));  // floating
+    c.addResistor("rl", top, spice::kGround, 5e3);
+    c.addCapacitor("cl", top, spice::kGround, 15e-15);
+    expectNewtonBitwise(c);
+}
+
+TEST(SolverEquivalence, DenseLuMatchesInPlaceFactorization) {
+    // Row r's dominant entry sits in column r+1 (mod n), so partial
+    // pivoting picks every pivot from the row above: a 6-cycle.
+    const std::size_t n = 6;
+    util::Rng rng(7);
+    la::DenseMatrix a(n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
+    }
+    for (std::size_t r = 0; r < n; ++r) a(r, (r + 1) % n) += 10.0;
+
+    const la::DenseLu lu(a);
+    la::DenseMatrix factors = a;
+    std::vector<std::size_t> perm;
+    const int sign = la::luFactorInPlace(factors, perm);
+
+    double det = sign;
+    for (std::size_t i = 0; i < n; ++i) det *= factors(i, i);
+    EXPECT_EQ(lu.determinant(), det);
+    EXPECT_EQ(std::signbit(lu.determinant()), std::signbit(det));
+    EXPECT_EQ(sign, -1);  // a 6-cycle is an odd permutation
+
+    // Solving every basis vector exposes the whole factorization.
+    la::Vector work;
+    for (std::size_t k = 0; k < n; ++k) {
+        la::Vector e(n, 0.0);
+        e[k] = 1.0;
+        la::Vector viaInPlace = e;
+        la::luSolveInPlace(factors, perm, viaInPlace, work);
+        EXPECT_EQ(lu.solve(e), viaInPlace) << "column " << k;
+    }
+}
+
+// ------------------------------------------------------------------ probes
+
+void expectSameWaveform(const wave::Waveform& a, const wave::Waveform& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a.samples()[i].t, b.samples()[i].t) << "sample " << i;
+        EXPECT_EQ(a.samples()[i].v, b.samples()[i].v) << "sample " << i;
+    }
+}
+
+TEST(TranProbes, ProbedWaveformMatchesFullRecording) {
+    InverterFixture f;
+    f.c.addVSource("vin", f.in, spice::kGround,
+                   SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 2e-10, 5e-11,
+                                                       2e-9)));
+    f.c.addCapacitor("cload", f.out, spice::kGround, 10e-15);
+    spice::TranOptions opt;
+    opt.tstop = 2e-9;
+    const auto full = spice::simulateTransient(f.c, opt);
+    opt.probes = {"out"};
+    const auto probed = spice::simulateTransient(f.c, opt);
+
+    EXPECT_TRUE(probed.has("out"));
+    EXPECT_FALSE(probed.has("in"));
+    EXPECT_FALSE(probed.has("vdd"));
+    expectSameWaveform(probed.waveform("out"), full.waveform("out"));
+    EXPECT_EQ(probed.stats().accepted, full.stats().accepted);
+    EXPECT_EQ(probed.stats().newtonIterations, full.stats().newtonIterations);
+}
+
+TEST(TranProbes, UnknownOrGroundProbeThrows) {
+    Circuit c;
+    const auto n = c.node("n");
+    c.addVSource("v", n, spice::kGround, SourceSpec::dc(1.0));
+    c.addResistor("r", n, spice::kGround, 1.0);
+    spice::TranOptions opt;
+    opt.tstop = 1e-9;
+    opt.probes = {"nope"};
+    EXPECT_THROW(spice::simulateTransient(c, opt), LogicError);
+    opt.probes = {"0"};
+    EXPECT_THROW(spice::simulateTransient(c, opt), LogicError);
+}
+
+TEST(TranProbes, ReusedEngineMatchesFreshRunsAfterReArming) {
+    // Between runs only the source spec changes; each run of the reused
+    // engine must be bitwise a fresh simulateTransient.
+    Circuit c;
+    const auto agg = c.node("agg");
+    const auto vic = c.node("vic");
+    auto& src = c.addVSource("va", agg, spice::kGround, SourceSpec::dc(0.0));
+    c.addResistor("rhold", vic, spice::kGround, 1000.0);
+    c.addCapacitor("cc", agg, vic, 20e-15);
+    c.addCapacitor("cg", vic, spice::kGround, 30e-15);
+    spice::TranOptions opt;
+    opt.tstop = 2e-9;
+    opt.probes = {"vic"};
+    spice::TransientEngine engine(c);
+    for (const double t0 : {3e-10, 0.0, 1.2e-9, 3e-10}) {
+        src.setSpec(t0 > 0.0 ? SourceSpec::pwl(wave::saturatedRamp(
+                                   0, 1.2, t0, 5e-11, opt.tstop))
+                             : SourceSpec::dc(0.6));
+        const auto reused = engine.run(opt);
+        const auto fresh = spice::simulateTransient(c, opt);
+        expectSameWaveform(reused.waveform("vic"), fresh.waveform("vic"));
+    }
 }
 
 }  // namespace
