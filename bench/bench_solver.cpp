@@ -8,7 +8,10 @@
 //  * one alignment probe: the same transient on the search's reused engine
 //    (MacromodelEngine::run), i.e. the marginal cost of a probe;
 //  * one full worst-alignment search (findWorstAlignment);
-//  * one NRC characterization of the receiver cell (bisected transients).
+//  * one characterization of each kind the design flow caches: NRC of the
+//    receiver cell (bisected transients), Thevenin fit of an aggressor
+//    driver (one ramp transient + one DC clamp), propagation table on the
+//    canonical grid (one transient per entry) and load curve (DC sweep).
 //
 //   ./build/bench_solver [--benchmark_filter=REGEX]
 #include <benchmark/benchmark.h>
@@ -127,6 +130,43 @@ void BM_NrcCharacterization(benchmark::State& state) {
     }
 }
 
+void BM_TheveninCharacterization(benchmark::State& state) {
+    const cell::CellLibrary& lib = cell::sharedLibrary(tech::tech130());
+    charlib::TheveninSpec spec;
+    spec.cell = &lib.cell("INV_X2");
+    spec.input = spec.cell->inputNames().front();
+    spec.outputRising = true;
+    for (auto _ : state) {
+        const auto model = charlib::characterizeThevenin(spec);
+        benchmark::DoNotOptimize(model.slew);
+    }
+}
+
+void BM_PropagationCharacterization(benchmark::State& state) {
+    const cell::CellLibrary& lib = cell::sharedLibrary(tech::tech130());
+    charlib::PropagationSpec spec;
+    spec.cell = &lib.cell("NAND2_X1");
+    spec.input = spec.cell->inputNames().front();
+    spec.heights = charlib::canonicalPropagationHeights(
+        spec.cell->technology().vdd);
+    spec.widths = charlib::canonicalPropagationWidths();
+    for (auto _ : state) {
+        const auto table = charlib::characterizePropagation(spec);
+        benchmark::DoNotOptimize(table.peak(0.5, 200e-12));
+    }
+}
+
+void BM_LoadCurveCharacterization(benchmark::State& state) {
+    const cell::CellLibrary& lib = cell::sharedLibrary(tech::tech130());
+    charlib::LoadCurveSpec spec;
+    spec.cell = &lib.cell("NAND2_X1");
+    spec.input = spec.cell->inputNames().front();
+    for (auto _ : state) {
+        const auto table = charlib::characterizeLoadCurve(spec);
+        benchmark::DoNotOptimize(table(0.6, 0.3));
+    }
+}
+
 }  // namespace
 
 BENCHMARK(BM_MnaAssembleLu)->Arg(4)->Arg(16)->Arg(64);
@@ -134,5 +174,8 @@ BENCHMARK(BM_MacromodelTransient)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AlignmentProbe)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FindWorstAlignment)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NrcCharacterization)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TheveninCharacterization)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PropagationCharacterization)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadCurveCharacterization)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -119,6 +119,11 @@ struct NrcSpec {
 /// curve are failures. Monotonically non-increasing in width.
 la::Grid1d characterizeNrc(const NrcSpec& spec);
 
+/// The NRC height at one width (spec.widths is ignored): bitwise the value
+/// characterizeNrc gives at a grid node of that width, 1.4 vdd when no
+/// glitch fails.
+double nrcFailingHeight(const NrcSpec& spec, double width);
+
 // -------------------------------------------------------------- input cap
 
 /// Charge-method measurement: slow ramp into the pin through a resistor,

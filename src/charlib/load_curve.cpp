@@ -1,6 +1,6 @@
 #include <cmath>
 
-#include "charlib/characterize.hpp"
+#include "charlib/cell_bench.hpp"
 #include "spice/dc.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -21,28 +21,11 @@ la::Grid2d characterizeLoadCurve(const LoadCurveSpec& spec) {
 
     // Bench: side inputs held at the sensitized vector, swept sources on
     // the sensitive input and the output.
-    spice::Circuit ckt;
-    const auto vddNode = ckt.node("vdd");
-    ckt.addVSource("vsupply", vddNode, spice::kGround,
-                   spice::SourceSpec::dc(vdd));
-    const auto holding = cellRef.holdingVector(spec.outputLevel, spec.input);
-    std::map<std::string, spice::NodeId> pins;
-    for (const auto& in : cellRef.inputNames()) {
-        const auto n = ckt.node(in);
-        pins[in] = n;
-        const double level = holding.at(in) ? vdd : 0.0;
-        ckt.addVSource("v_" + in, n, spice::kGround,
-                       spice::SourceSpec::dc(level));
-    }
-    const auto outNode = ckt.node("out");
-    pins[cellRef.outputName()] = outNode;
-    ckt.addVSource("v_out", outNode, spice::kGround, spice::SourceSpec::dc(0));
-    cellRef.instantiate(ckt, "dut", pins, vddNode);
-
-    auto* vin = dynamic_cast<spice::VSource*>(
-        ckt.findDevice("v_" + spec.input));
-    auto* vout = dynamic_cast<spice::VSource*>(ckt.findDevice("v_out"));
-    SNA_REQUIRE(vin != nullptr && vout != nullptr, "bench sources missing");
+    CellBench bench(cellRef, spec.input,
+                    cellRef.holdingVector(spec.outputLevel, spec.input),
+                    CellBench::Output::kClamp, 0.0);
+    spice::VSource& vin = bench.input();
+    spice::VSource& vout = bench.clamp();
 
     std::vector<double> vinAxis(spec.nVin), voutAxis(spec.nVout);
     for (int i = 0; i < spec.nVin; ++i) {
@@ -55,11 +38,11 @@ la::Grid2d characterizeLoadCurve(const LoadCurveSpec& spec) {
     std::vector<double> z(static_cast<std::size_t>(spec.nVin) * spec.nVout);
     la::Vector warm;
     for (int i = 0; i < spec.nVin; ++i) {
-        vin->setSpec(spice::SourceSpec::dc(vinAxis[i]));
+        vin.setSpec(spice::SourceSpec::dc(vinAxis[i]));
         for (int j = 0; j < spec.nVout; ++j) {
-            vout->setSpec(spice::SourceSpec::dc(voutAxis[j]));
-            const auto dc =
-                spice::solveDc(ckt, {}, warm.empty() ? nullptr : &warm);
+            vout.setSpec(spice::SourceSpec::dc(voutAxis[j]));
+            const auto dc = spice::solveDc(bench.circuit(), {},
+                                           warm.empty() ? nullptr : &warm);
             warm = dc.raw();
             // Current the clamp must deliver INTO the output = current the
             // cell sinks there; this is the table entry I_DC(vin, vout).

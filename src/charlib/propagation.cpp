@@ -1,5 +1,4 @@
-#include "charlib/characterize.hpp"
-#include "spice/tran.hpp"
+#include "charlib/cell_bench.hpp"
 #include "util/error.hpp"
 #include "waveform/metrics.hpp"
 #include "waveform/sources.hpp"
@@ -20,50 +19,28 @@ PropagationTable characterizePropagation(const PropagationSpec& spec) {
     SNA_REQUIRE(spec.heights.size() >= 2 && spec.widths.size() >= 2,
                 "propagation table needs >= 2x2 grid");
     const cell::Cell& cellRef = *spec.cell;
-    const double vdd = cellRef.technology().vdd;
     const auto holding = cellRef.holdingVector(spec.outputLevel, spec.input);
+    CellBench bench(cellRef, spec.input, holding,
+                    CellBench::Output::kLoad, spec.loadCap);
+    const double vdd = bench.vdd();
     const double inBaseline = holding.at(spec.input) ? vdd : 0.0;
     const double outBaseline = spec.outputLevel ? vdd : 0.0;
     // Glitch direction: toward the opposite input rail.
     const double dir = (inBaseline < 0.5 * vdd) ? +1.0 : -1.0;
 
+    // Every (height, width) re-arms the input glitch and runs to the end:
+    // the area needs the whole output waveform.
     std::vector<double> zPeak, zArea;
     zPeak.reserve(spec.heights.size() * spec.widths.size());
     zArea.reserve(zPeak.capacity());
     for (const double h : spec.heights) {
         for (const double w : spec.widths) {
-            spice::Circuit ckt;
-            const auto vddNode = ckt.node("vdd");
-            ckt.addVSource("vsupply", vddNode, spice::kGround,
-                           spice::SourceSpec::dc(vdd));
             const double t0 = 50e-12;
             const double tStop = t0 + w + std::max(2e-9, 6 * w);
-            std::map<std::string, spice::NodeId> pins;
-            for (const auto& in : cellRef.inputNames()) {
-                const auto n = ckt.node(in);
-                pins[in] = n;
-                const double level = holding.at(in) ? vdd : 0.0;
-                if (in == spec.input) {
-                    ckt.addVSource(
-                        "v_" + in, n, spice::kGround,
-                        spice::SourceSpec::pwl(wave::triangleGlitch(
-                            level, dir * h, t0, w, tStop)));
-                } else {
-                    ckt.addVSource("v_" + in, n, spice::kGround,
-                                   spice::SourceSpec::dc(level));
-                }
-            }
-            const auto outNode = ckt.node("out");
-            pins[cellRef.outputName()] = outNode;
-            ckt.addCapacitor("cload", outNode, spice::kGround, spec.loadCap);
-            cellRef.instantiate(ckt, "dut", pins, vddNode);
-
-            spice::TranOptions opt;
-            opt.tstop = tStop;
-            opt.probes = {"out"};
-            const auto res = spice::simulateTransient(ckt, opt);
-            const auto m =
-                wave::measureGlitch(res.waveform("out"), outBaseline);
+            bench.input().setSpec(spice::SourceSpec::pwl(
+                wave::triangleGlitch(inBaseline, dir * h, t0, w, tStop)));
+            const auto m = wave::measureGlitch(
+                bench.transient(tStop).waveform("out"), outBaseline);
             zPeak.push_back(m.peak);
             zArea.push_back(m.area);
         }

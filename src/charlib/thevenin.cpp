@@ -1,9 +1,8 @@
 #include <cmath>
 #include <map>
 
-#include "charlib/characterize.hpp"
+#include "charlib/cell_bench.hpp"
 #include "spice/dc.hpp"
-#include "spice/tran.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "waveform/sources.hpp"
@@ -46,6 +45,12 @@ double rampRcCrossing(double frac, double tau, double rc) {
     return 0.5 * (lo + hi);
 }
 
+// Does the output cross `target` (in the transition's direction) between
+// consecutive samples a and b?
+bool crossesBetween(double a, double b, double target, bool rising) {
+    return rising ? (a < target && b >= target) : (a > target && b <= target);
+}
+
 // Output crossing time at `frac` of the swing, linearly interpolated on the
 // PWL waveform (sample-scanning alone is biased late on coarse steps).
 double measuredCrossing(const wave::Waveform& w, double vStart, double vEnd,
@@ -57,10 +62,7 @@ double measuredCrossing(const wave::Waveform& w, double vStart, double vEnd,
         if (samples[i].t < tAfter) continue;
         const auto& a = samples[i - 1];
         const auto& b = samples[i];
-        const bool crossed =
-            rising ? (a.v < target && b.v >= target)
-                   : (a.v > target && b.v <= target);
-        if (!crossed) continue;
+        if (!crossesBetween(a.v, b.v, target, rising)) continue;
         const double f = (target - a.v) / (b.v - a.v);
         return a.t + f * (b.t - a.t);
     }
@@ -68,106 +70,42 @@ double measuredCrossing(const wave::Waveform& w, double vStart, double vEnd,
                      "Thevenin characterization");
 }
 
-}  // namespace
-
-namespace {
-
 // DC effective driving resistance toward the post-transition rail: clamp
 // the output at mid-swing with the inputs at their final values and read
 // R = (half swing) / |I|. This is the classic identifiable definition; a
 // crossing-time-only fit degenerates for slew-limited (strong) drivers.
-double effectiveResistance(const cell::Cell& cellRef,
-                           const std::map<std::string, bool>& finalVector,
-                           double vdd, bool outputRising) {
-    spice::Circuit ckt;
-    const auto vddNode = ckt.node("vdd");
-    ckt.addVSource("vsupply", vddNode, spice::kGround,
-                   spice::SourceSpec::dc(vdd));
-    std::map<std::string, spice::NodeId> pins;
-    for (const auto& in : cellRef.inputNames()) {
-        const auto n = ckt.node(in);
-        pins[in] = n;
-        ckt.addVSource("v_" + in, n, spice::kGround,
-                       spice::SourceSpec::dc(finalVector.at(in) ? vdd : 0.0));
-    }
-    const auto outNode = ckt.node("out");
-    pins[cellRef.outputName()] = outNode;
-    ckt.addVSource("v_out", outNode, spice::kGround,
-                   spice::SourceSpec::dc(0.5 * vdd));
-    cellRef.instantiate(ckt, "dut", pins, vddNode);
-    const auto dc = spice::solveDc(ckt);
-    const double current = dc.sourceCurrent("v_out");
+double effectiveResistance(const TheveninSpec& spec,
+                           const std::map<std::string, bool>& finalVector) {
+    const double vdd = spec.cell->technology().vdd;
+    CellBench bench(*spec.cell, spec.input, finalVector,
+                    CellBench::Output::kClamp, 0.5 * vdd);
+    const auto dc = spice::solveDc(bench.circuit());
     // Rising output: the cell sources current into the clamp (negative
     // sunk current); falling: it sinks. Either way use the magnitude.
-    const double magnitude = std::abs(current);
+    const double magnitude = std::abs(dc.sourceCurrent("v_out"));
     if (magnitude < 1e-9) {
         throw ModelError("driver delivers no current at mid-swing; cannot "
                          "extract an effective resistance");
     }
-    (void)outputRising;
     return (0.5 * vdd) / magnitude;
 }
 
 }  // namespace
 
-TheveninModel characterizeThevenin(const TheveninSpec& spec) {
-    SNA_REQUIRE(spec.cell != nullptr, "thevenin spec needs a cell");
-    SNA_REQUIRE(spec.loadCap > 0.0, "thevenin load must be positive");
-    const cell::Cell& cellRef = *spec.cell;
-    const double vdd = cellRef.technology().vdd;
-
-    // Bench: start from the vector holding the output at the pre-transition
-    // level, then ramp the chosen input to its flipped value.
-    const bool outStart = !spec.outputRising;
-    const auto holding = cellRef.holdingVector(outStart, spec.input);
-
-    spice::Circuit ckt;
-    const auto vddNode = ckt.node("vdd");
-    ckt.addVSource("vsupply", vddNode, spice::kGround,
-                   spice::SourceSpec::dc(vdd));
-    const double tStart = 50e-12;
-    const double tStop = 4e-9;
-    std::map<std::string, spice::NodeId> pins;
-    for (const auto& in : cellRef.inputNames()) {
-        const auto n = ckt.node(in);
-        pins[in] = n;
-        const double v0 = holding.at(in) ? vdd : 0.0;
-        if (in == spec.input) {
-            const double v1 = vdd - v0;
-            ckt.addVSource("v_" + in, n, spice::kGround,
-                           spice::SourceSpec::pwl(wave::saturatedRamp(
-                               v0, v1, tStart, spec.inputSlew, tStop)));
-        } else {
-            ckt.addVSource("v_" + in, n, spice::kGround,
-                           spice::SourceSpec::dc(v0));
-        }
-    }
-    const auto outNode = ckt.node("out");
-    pins[cellRef.outputName()] = outNode;
-    ckt.addCapacitor("cload", outNode, spice::kGround, spec.loadCap);
-    cellRef.instantiate(ckt, "dut", pins, vddNode);
-
-    spice::TranOptions opt;
-    opt.tstop = tStop;
-    opt.probes = {"out"};
-    const auto res = spice::simulateTransient(ckt, opt);
-    const auto& out = res.waveform("out");
-
+TheveninModel fitThevenin(const TheveninSpec& spec, const wave::Waveform& out,
+                          double rth) {
+    const double vdd = spec.cell->technology().vdd;
+    const double tStart = kTheveninInputStart;
     const double vStart = spec.outputRising ? 0.0 : vdd;
     const double vEnd = vdd - vStart;
     const double t20 = measuredCrossing(out, vStart, vEnd, 0.2, tStart);
     const double t80 = measuredCrossing(out, vStart, vEnd, 0.8, tStart);
     SNA_REQUIRE(t80 > t20, "inverted crossing order in Thevenin fit");
 
-    // R_TH from the DC effective resistance (always identifiable), then fit
-    // the ramp duration tau so the model's 20%/80% crossings match the
+    // Fit the ramp duration tau so the model's 20%/80% crossings match the
     // golden transition. The model ramp starts where the golden output
     // leaves 2% of the swing (driver insertion delay).
-    const auto finalVector = cellRef.holdingVector(!outStart, spec.input);
-    const double rth =
-        effectiveResistance(cellRef, finalVector, vdd, spec.outputRising);
     const double rc = rth * spec.loadCap;
-
     const double tLaunch = measuredCrossing(out, vStart, vEnd, 0.02, tStart);
     const double m20 = t20 - tLaunch;
     const double m80 = t80 - tLaunch;
@@ -194,8 +132,9 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec) {
             }
         }
     }
-    log::debug() << "thevenin fit " << cellRef.name() << ": slew=" << bestTau
-                 << " rth=" << rth << " err=" << bestErr;
+    log::debug() << "thevenin fit " << spec.cell->name()
+                 << ": slew=" << bestTau << " rth=" << rth
+                 << " err=" << bestErr;
 
     TheveninModel model;
     model.vStart = vStart;
@@ -204,6 +143,47 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec) {
     model.rth = rth;
     model.delay = tLaunch - tStart;
     return model;
+}
+
+TheveninModel characterizeThevenin(const TheveninSpec& spec) {
+    SNA_REQUIRE(spec.cell != nullptr, "thevenin spec needs a cell");
+    SNA_REQUIRE(spec.loadCap > 0.0, "thevenin load must be positive");
+    const cell::Cell& cellRef = *spec.cell;
+    const double vdd = cellRef.technology().vdd;
+
+    // Bench: start from the vector holding the output at the pre-transition
+    // level, then ramp the chosen input to its flipped value.
+    const bool outStart = !spec.outputRising;
+    const auto holding = cellRef.holdingVector(outStart, spec.input);
+    CellBench bench(cellRef, spec.input, holding, CellBench::Output::kLoad,
+                    spec.loadCap);
+    const double tStart = kTheveninInputStart;
+    const double tStop = 4e-9;
+    const double v0 = holding.at(spec.input) ? vdd : 0.0;
+    bench.input().setSpec(spice::SourceSpec::pwl(wave::saturatedRamp(
+        v0, vdd - v0, tStart, spec.inputSlew, tStop)));
+
+    // The fit reads the first 2%, 20% and 80% crossings at t >= tStart; the
+    // run ends at the sample completing the 80% one, which the other two
+    // precede (the output starts on its pre-transition rail).
+    const double vStart = outStart ? vdd : 0.0;
+    const double vEnd = vdd - vStart;
+    const double target80 = vStart + 0.8 * (vEnd - vStart);
+    bool havePrev = false;
+    double prev = 0.0;
+    const auto res = bench.transient(tStop, [&](double t, double v) {
+        const bool crossed =
+            havePrev && t >= tStart &&
+            crossesBetween(prev, v, target80, spec.outputRising);
+        havePrev = true;
+        prev = v;
+        return crossed;
+    });
+
+    // R_TH from the DC effective resistance (always identifiable).
+    const double rth = effectiveResistance(
+        spec, cellRef.holdingVector(!outStart, spec.input));
+    return fitThevenin(spec, res.waveform("out"), rth);
 }
 
 }  // namespace sna::charlib

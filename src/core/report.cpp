@@ -18,19 +18,6 @@ std::vector<double> NrcOptions::grid() const {
     return grid;
 }
 
-namespace {
-
-/// Bisect the receiver at exactly width `w` (bracketed so the curve is
-/// exact at its own nodes). Uncached by design: keys would embed the
-/// bitwise width, so a shared cache would accumulate one near-unhittable
-/// entry per glitch.
-double exactNrcProbe(charlib::NrcSpec nrc, double w) {
-    nrc.widths = {0.5 * w, w, 2.0 * w};
-    return charlib::characterizeNrc(nrc)(w);
-}
-
-}  // namespace
-
 double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
                    charlib::CharCache* cache, const NrcOptions& nrcOpt) {
     const cell::CellLibrary& lib = cell::sharedLibrary(*spec.technology);
@@ -40,8 +27,11 @@ double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
     // Quiet receiver input level = the victim's held level.
     nrc.quietLevel = spec.victim.outputLevel;
     if (nrcOpt.interp == NrcOptions::Interp::kExact) {
-        // Validation reference: probe the exact measured width.
-        return exactNrcProbe(nrc, std::max(m.width, nrcOpt.widthMin));
+        // Validation reference: bisect the exact measured width. Uncached
+        // by design: keys would embed the bitwise width, so a shared cache
+        // would accumulate one near-unhittable entry per glitch.
+        return charlib::nrcFailingHeight(nrc,
+                                         std::max(m.width, nrcOpt.widthMin));
     }
     // Default: probe the canonical width grid once per (cell, quiet level)
     // and evaluate the measured width by interpolation — the grid is what
@@ -55,7 +45,7 @@ double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
         // Wider than the canonical grid (only reachable when tstop is raised
         // above its default): clamping would read the limit of a narrower
         // glitch, which is optimistic. Probe the actual width instead.
-        return exactNrcProbe(nrc, w);
+        return charlib::nrcFailingHeight(nrc, w);
     }
     const bool logInterp = nrcOpt.interp == NrcOptions::Interp::kLogWidth;
     const auto eval = [w, logInterp](const la::Grid1d& curve) {

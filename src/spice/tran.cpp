@@ -78,6 +78,8 @@ TranResult TransientEngine::run(const TranOptions& options) {
             }
         }
     }
+    SNA_REQUIRE(!options.stopWhen || !options.probes.empty(),
+                "a transient stop predicate needs a named first probe");
 
     // --- initial condition -------------------------------------------------
     // A reused engine starts exactly where a fresh map would.
@@ -103,12 +105,15 @@ TranResult TransientEngine::run(const TranOptions& options) {
 
     // --- recording ---------------------------------------------------------
     std::vector<std::vector<wave::Sample>> record(probed.size());
+    // Records one sample per probe; returns whether stopWhen fired on it.
     auto recordProbes = [&](double t) {
         for (std::size_t k = 0; k < probed.size(); ++k) {
             record[k].push_back({t, map_.voltage(probed[k], x_)});
         }
+        return options.stopWhen &&
+               options.stopWhen(t, record.front().back().v);
     };
-    recordProbes(0.0);
+    bool stopped = recordProbes(0.0);
 
     // --- main loop ----------------------------------------------------------
     const std::vector<double> breakpoints = collectBreakpoints(circuit, tstop);
@@ -126,7 +131,7 @@ TranResult TransientEngine::run(const TranOptions& options) {
     bool forceBe = true;         // BE on the first step and after breakpoints
 
     TranStats stats;
-    while (t < tstop - 1e-18) {
+    while (!stopped && t < tstop - 1e-18) {
         // Cooperative cancellation: one thread-local read per accepted or
         // rejected step when no deadline is armed. Unwinds with
         // CancelledError so a deadline can interrupt a solve mid-transient
@@ -223,7 +228,7 @@ TranResult TransientEngine::run(const TranOptions& options) {
         haveHistory = true;
         t += dtPrevAccepted;
         ++stats.accepted;
-        recordProbes(t);
+        stopped = recordProbes(t);
 
         if (hitsBp) {
             // Slope discontinuity: restart integration gently.
@@ -238,6 +243,7 @@ TranResult TransientEngine::run(const TranOptions& options) {
     // --- package ------------------------------------------------------------
     TranResult result;
     result.stats_ = stats;
+    result.stopped_ = stopped;
     for (std::size_t k = 0; k < probed.size(); ++k) {
         result.waves_.emplace(circuit.nodeName(probed[k]),
                               wave::Waveform(std::move(record[k])));

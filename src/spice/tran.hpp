@@ -7,6 +7,7 @@
 // the golden transistor-level reference every macromodel is judged against.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,6 +31,12 @@ struct TranOptions {
     /// nodes they read so a run stores only those waveforms. A name that is
     /// not a non-ground node of the circuit throws LogicError.
     std::vector<std::string> probes;
+    /// Early stop, off when empty: called with (t, v) on every recorded
+    /// sample of probes[0] (which must be named), the DC point at t = 0
+    /// included; the run ends after the first sample for which it returns
+    /// true. Step control, breakpoints and tstop are unchanged, so the
+    /// recorded waveforms are a bitwise prefix of the full run's.
+    std::function<bool(double t, double v)> stopWhen;
 };
 
 struct TranStats {
@@ -43,11 +50,15 @@ public:
     bool has(const std::string& node) const;
     const wave::Waveform& waveform(const std::string& node) const;
     const TranStats& stats() const { return stats_; }
+    /// Whether TranOptions::stopWhen returned true, ending the run at that
+    /// sample (which may be the one at tstop).
+    bool stopped() const { return stopped_; }
 
 private:
     friend class TransientEngine;
     std::unordered_map<std::string, wave::Waveform> waves_;
     TranStats stats_;
+    bool stopped_ = false;
 };
 
 /// The transient loop over one circuit, keeping its MNA map and per-step

@@ -1,13 +1,18 @@
 // Tests for cell characterization: load curves (the paper's Eq. (1)),
 // holding resistance, Thevenin fits, propagation tables, NRCs, and input
-// capacitance measurement.
+// capacitance measurement; bitwise agreement of the reused-bench,
+// early-stopping characterizations with their fresh-circuit oracles; and
+// concurrent characterization through one CharCache.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "celllib/library.hpp"
+#include "charlib/char_cache.hpp"
 #include "charlib/characterize.hpp"
 #include "spice/tran.hpp"
+#include "testsupport/charlib_oracles.hpp"
 #include "util/error.hpp"
 #include "waveform/metrics.hpp"
 #include "waveform/sources.hpp"
@@ -255,6 +260,127 @@ TEST(InputCap, ChargeMethodAgreesWithAnalytic) {
         // agreement within ~2.5x is the expected physics, not slop.
         EXPECT_LT(measured, 2.5 * analytic) << name;
     }
+}
+
+// ------------------------------------------- reused bench vs fresh oracle
+
+// (cell, sensitive input) pairs covering one- to three-input, inverting and
+// non-inverting (two-stage) cells.
+const std::vector<std::pair<const char*, const char*>>& benchCells() {
+    static const std::vector<std::pair<const char*, const char*>> cells{
+        {"INV_X1", "a"},   {"NAND2_X1", "a"}, {"NAND2_X1", "b"},
+        {"NOR3_X1", "a"},  {"AOI21_X1", "a"}, {"BUF_X2", "a"}};
+    return cells;
+}
+
+void expectSameGrid(const la::Grid2d& a, const la::Grid2d& b) {
+    ASSERT_EQ(a.xs(), b.xs());
+    ASSERT_EQ(a.ys(), b.ys());
+    for (std::size_t i = 0; i < a.xs().size(); ++i) {
+        for (std::size_t j = 0; j < a.ys().size(); ++j) {
+            EXPECT_EQ(a.at(i, j), b.at(i, j)) << i << "," << j;
+        }
+    }
+}
+
+void expectSameModel(const charlib::TheveninModel& a,
+                     const charlib::TheveninModel& b) {
+    EXPECT_EQ(a.vStart, b.vStart);
+    EXPECT_EQ(a.vEnd, b.vEnd);
+    EXPECT_EQ(a.slew, b.slew);
+    EXPECT_EQ(a.rth, b.rth);
+    EXPECT_EQ(a.delay, b.delay);
+}
+
+TEST(BenchOracle, NrcMatchesFreshFullLengthBisection) {
+    for (const auto& [name, pin] : benchCells()) {
+        for (const bool quiet : {false, true}) {
+            charlib::NrcSpec spec;
+            spec.cell = &lib130().cell(name);
+            spec.input = pin;
+            spec.quietLevel = quiet;
+            spec.widths = {15e-12, 120e-12, 700e-12};
+            const auto curve = charlib::characterizeNrc(spec);
+            const auto oracle = testsupport::referenceNrc(spec);
+            EXPECT_EQ(curve.xs(), oracle.xs()) << name << "/" << pin;
+            EXPECT_EQ(curve.ys(), oracle.ys())
+                << name << "/" << pin << " quiet " << quiet;
+        }
+    }
+}
+
+TEST(BenchOracle, TheveninMatchesFreshFullLengthFit) {
+    for (const auto& [name, pin] : benchCells()) {
+        for (const bool rising : {false, true}) {
+            charlib::TheveninSpec spec;
+            spec.cell = &lib130().cell(name);
+            spec.input = pin;
+            spec.outputRising = rising;
+            SCOPED_TRACE(std::string(name) + "/" + pin +
+                         (rising ? " rising" : " falling"));
+            expectSameModel(charlib::characterizeThevenin(spec),
+                            testsupport::referenceThevenin(spec));
+        }
+    }
+}
+
+TEST(BenchOracle, PropagationMatchesFreshCircuits) {
+    for (const auto& [name, pin] : benchCells()) {
+        for (const bool level : {false, true}) {
+            charlib::PropagationSpec spec;
+            spec.cell = &lib130().cell(name);
+            spec.input = pin;
+            spec.outputLevel = level;
+            spec.heights = {0.3, 0.9};
+            spec.widths = {80e-12, 400e-12};
+            SCOPED_TRACE(std::string(name) + "/" + pin + " level " +
+                         std::to_string(level));
+            const auto table = charlib::characterizePropagation(spec);
+            const auto oracle = testsupport::referencePropagation(spec);
+            expectSameGrid(table.peak, oracle.peak);
+            expectSameGrid(table.area, oracle.area);
+            EXPECT_EQ(table.outputBaseline, oracle.outputBaseline);
+        }
+    }
+}
+
+// --------------------------------------------------------- concurrency
+
+TEST(CharCacheConcurrency, TwoThreadsMatchSerialCharacterization) {
+    // Each worker characterizes its own NRC and Thevenin specs through one
+    // shared cache; every result must equal the serial direct call. Run
+    // under TSan this also proves the benches share no mutable state.
+    std::vector<charlib::NrcSpec> nrcs(2);
+    std::vector<charlib::TheveninSpec> thevs(2);
+    const char* cells[2] = {"INV_X1", "NAND2_X1"};
+    for (int k = 0; k < 2; ++k) {
+        nrcs[k].cell = &lib130().cell(cells[k]);
+        nrcs[k].input = "a";
+        nrcs[k].quietLevel = k == 1;
+        nrcs[k].widths = {100e-12, 400e-12};
+        thevs[k].cell = &lib130().cell(cells[1 - k]);
+        thevs[k].input = "a";
+        thevs[k].outputRising = k == 0;
+    }
+
+    charlib::CharCache cache;
+    std::vector<std::shared_ptr<const la::Grid1d>> nrcOut(2);
+    std::vector<std::shared_ptr<const charlib::TheveninModel>> thevOut(2);
+    std::vector<std::thread> workers;
+    for (int k = 0; k < 2; ++k) {
+        workers.emplace_back([&, k] {
+            nrcOut[k] = cache.nrc(nrcs[k]);
+            thevOut[k] = cache.thevenin(thevs[k]);
+        });
+    }
+    for (auto& w : workers) w.join();
+
+    for (int k = 0; k < 2; ++k) {
+        EXPECT_EQ(nrcOut[k]->ys(), charlib::characterizeNrc(nrcs[k]).ys());
+        expectSameModel(*thevOut[k], charlib::characterizeThevenin(thevs[k]));
+    }
+    EXPECT_EQ(cache.stats().nrcRuns, 2u);
+    EXPECT_EQ(cache.stats().theveninRuns, 2u);
 }
 
 }  // namespace

@@ -460,4 +460,32 @@ TEST(NrcGrid, CustomGridChangesProbesStaysNearExact) {
     EXPECT_EQ(grid, legacy);
 }
 
+TEST(NrcGrid, ExactProbeMatchesThreeWidthCurve) {
+    // An exact-width probe bisects that one width; it must equal the
+    // interior node of the bracketing three-width curve bitwise, both for
+    // the kExact mode and for widths beyond the canonical grid.
+    core::ClusterSpec spec;
+    spec.victim.receiverCell = "INV_X2";
+    spec.victim.outputLevel = true;
+    charlib::NrcSpec nrc;
+    nrc.cell = &cell::sharedLibrary(*spec.technology).cell("INV_X2");
+    nrc.input = "a";
+    nrc.quietLevel = true;
+    auto threeWidth = [&nrc](double w) {
+        nrc.widths = {0.5 * w, w, 2.0 * w};
+        return charlib::characterizeNrc(nrc)(w);
+    };
+
+    core::NrcOptions exact;
+    exact.interp = core::NrcOptions::Interp::kExact;
+    wave::GlitchMetrics m;
+    m.width = 300e-12;
+    EXPECT_EQ(core::nrcLimitFor(spec, m, nullptr, exact), threeWidth(300e-12));
+
+    const core::NrcOptions defaults;
+    m.width = 1.5 * defaults.grid().back();
+    EXPECT_EQ(core::nrcLimitFor(spec, m, nullptr, defaults),
+              threeWidth(m.width));
+}
+
 }  // namespace

@@ -10,6 +10,7 @@
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
 #include "spice/tran.hpp"
+#include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "waveform/metrics.hpp"
@@ -650,6 +651,104 @@ TEST(TranProbes, ReusedEngineMatchesFreshRunsAfterReArming) {
         const auto fresh = spice::simulateTransient(c, opt);
         expectSameWaveform(reused.waveform("vic"), fresh.waveform("vic"));
     }
+}
+
+// --------------------------------------------------------------- early stop
+
+// Inverter whose output falls from vdd once the input ramps up at 0.2 ns.
+spice::TranOptions fallingInverter(InverterFixture& f) {
+    f.c.addVSource("vin", f.in, spice::kGround,
+                   SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 2e-10, 5e-11,
+                                                       2e-9)));
+    f.c.addCapacitor("cload", f.out, spice::kGround, 10e-15);
+    spice::TranOptions opt;
+    opt.tstop = 2e-9;
+    opt.probes = {"out", "in"};
+    return opt;
+}
+
+TEST(TranEarlyStop, StoppedWaveformIsBitwisePrefixOfFullRun) {
+    InverterFixture f;
+    auto opt = fallingInverter(f);
+    const auto full = spice::simulateTransient(f.c, opt);
+    opt.stopWhen = [](double, double v) { return v < 0.6; };
+    const auto stopped = spice::simulateTransient(f.c, opt);
+    EXPECT_FALSE(full.stopped());
+    EXPECT_TRUE(stopped.stopped());
+
+    // The run ends on the first sample of probes[0] below 0.6 V; every
+    // probe's samples up to there are the full run's, bit for bit.
+    const auto& fullOut = full.waveform("out").samples();
+    std::size_t first = 0;
+    while (fullOut[first].v >= 0.6) ++first;
+    for (const char* node : {"out", "in"}) {
+        const auto& a = stopped.waveform(node).samples();
+        const auto& b = full.waveform(node).samples();
+        ASSERT_EQ(a.size(), first + 1) << node;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].t, b[i].t) << node << " sample " << i;
+            EXPECT_EQ(a[i].v, b[i].v) << node << " sample " << i;
+        }
+    }
+    EXPECT_LT(stopped.stats().accepted, full.stats().accepted);
+}
+
+TEST(TranEarlyStop, PredicateThatNeverFiresGivesTheFullRun) {
+    InverterFixture f;
+    auto opt = fallingInverter(f);
+    const auto full = spice::simulateTransient(f.c, opt);
+    std::size_t calls = 0;
+    opt.stopWhen = [&calls](double, double) {
+        ++calls;
+        return false;
+    };
+    const auto run = spice::simulateTransient(f.c, opt);
+    EXPECT_FALSE(run.stopped());
+    expectSameWaveform(run.waveform("out"), full.waveform("out"));
+    expectSameWaveform(run.waveform("in"), full.waveform("in"));
+    EXPECT_EQ(run.stats().accepted, full.stats().accepted);
+    EXPECT_EQ(run.stats().rejected, full.stats().rejected);
+    EXPECT_EQ(run.stats().newtonIterations, full.stats().newtonIterations);
+    // Called once per recorded sample, the DC point included.
+    EXPECT_EQ(calls, full.waveform("out").size());
+}
+
+TEST(TranEarlyStop, PredicateFiringOnTheDcSampleYieldsOneSample) {
+    InverterFixture f;
+    auto opt = fallingInverter(f);
+    const auto full = spice::simulateTransient(f.c, opt);
+    opt.stopWhen = [](double t, double) { return t == 0.0; };
+    const auto run = spice::simulateTransient(f.c, opt);
+    EXPECT_TRUE(run.stopped());
+    ASSERT_EQ(run.waveform("out").size(), 1u);
+    EXPECT_EQ(run.waveform("out").samples()[0].t, 0.0);
+    EXPECT_EQ(run.waveform("out").samples()[0].v,
+              full.waveform("out").samples()[0].v);
+    EXPECT_EQ(run.stats().accepted, 0u);
+}
+
+TEST(TranEarlyStop, CancelledTokenUnwindsARunWithAPredicate) {
+    // The token trips mid-run (from the predicate, which never fires); the
+    // next step's cancellation poll must still unwind the transient.
+    InverterFixture f;
+    auto opt = fallingInverter(f);
+    util::CancelToken token;
+    std::size_t calls = 0;
+    opt.stopWhen = [&](double, double) {
+        if (++calls == 10) token.cancel();
+        return false;
+    };
+    const util::CancelScope scope(&token);
+    EXPECT_THROW(spice::simulateTransient(f.c, opt), util::CancelledError);
+    EXPECT_EQ(calls, 10u);
+}
+
+TEST(TranEarlyStop, PredicateNeedsANamedProbe) {
+    InverterFixture f;
+    auto opt = fallingInverter(f);
+    opt.probes.clear();
+    opt.stopWhen = [](double, double) { return false; };
+    EXPECT_THROW(spice::simulateTransient(f.c, opt), LogicError);
 }
 
 }  // namespace
