@@ -7,18 +7,23 @@
 //    (ClusterMacromodel::analyzeAt);
 //  * one alignment probe: the same transient on the search's reused engine
 //    (MacromodelEngine::run), i.e. the marginal cost of a probe;
-//  * one full worst-alignment search (findWorstAlignment);
+//  * one full worst-alignment search (findWorstAlignment), with its probe
+//    count;
 //  * one characterization of each kind the design flow caches: NRC of the
-//    receiver cell (bisected transients), Thevenin fit of an aggressor
-//    driver (one ramp transient + one DC clamp), propagation table on the
-//    canonical grid (one transient per entry) and load curve (DC sweep).
+//    receiver cell (bisected transients), a receiver's first NRC check on a
+//    fresh cache (the two widths bracketing one glitch), Thevenin fit of an
+//    aggressor driver (one ramp transient + one DC clamp), propagation
+//    table on the canonical grid (one transient per entry) and load curve
+//    (DC sweep).
 //
 //   ./build/bench_solver [--benchmark_filter=REGEX]
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 #include "celllib/library.hpp"
+#include "charlib/char_cache.hpp"
 #include "charlib/characterize.hpp"
+#include "core/report.hpp"
 #include "spice/mna.hpp"
 #include "waveform/sources.hpp"
 
@@ -130,6 +135,22 @@ void BM_NrcCharacterization(benchmark::State& state) {
     }
 }
 
+// The first NRC check of a receiver in a run: a fresh cache characterizes
+// only the two canonical widths that bracket the glitch.
+void BM_NrcLimitCold(benchmark::State& state) {
+    core::ClusterSpec spec;
+    spec.victim.receiverCell = "INV_X2";
+    wave::GlitchMetrics m;
+    m.width = 300e-12;
+    std::size_t widths = 0;
+    for (auto _ : state) {
+        charlib::CharCache cache;
+        benchmark::DoNotOptimize(core::nrcLimitFor(spec, m, &cache));
+        widths = cache.stats().nrcRuns;
+    }
+    state.counters["widths"] = static_cast<double>(widths);
+}
+
 void BM_TheveninCharacterization(benchmark::State& state) {
     const cell::CellLibrary& lib = cell::sharedLibrary(tech::tech130());
     charlib::TheveninSpec spec;
@@ -174,6 +195,7 @@ BENCHMARK(BM_MacromodelTransient)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AlignmentProbe)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FindWorstAlignment)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NrcCharacterization)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NrcLimitCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TheveninCharacterization)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PropagationCharacterization)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LoadCurveCharacterization)->Unit(benchmark::kMillisecond);

@@ -593,7 +593,8 @@ int main(int argc, char** argv) {
 
     const auto s = cache.stats();
     std::printf("characterizations: %zu load curves, %zu thevenins, "
-                "%zu NRCs, %zu propagation tables (%zu served from disk)\n",
+                "%zu NRC widths, %zu propagation tables "
+                "(%zu served from disk)\n",
                 s.loadCurveRuns, s.theveninRuns, s.nrcRuns,
                 s.propagationRuns, s.totalDiskHits());
     const bool saveOk = saveCache();

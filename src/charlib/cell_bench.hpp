@@ -59,10 +59,20 @@ private:
 /// When the Thevenin bench's input ramp starts, s.
 inline constexpr double kTheveninInputStart = 50e-12;
 
+/// Analytic time at which a saturated ramp of duration `tau` driving an RC
+/// load of time constant `rc` reaches `frac` (in (0, 1)) of its swing,
+/// bisected until the bracket's ends are adjacent doubles.
+double rampRcCrossing(double frac, double tau, double rc);
+
+/// A (frac, tau, rc) -> crossing time model, as rampRcCrossing.
+using CrossingFn = double (*)(double frac, double tau, double rc);
+
 /// The tail of characterizeThevenin: fit the saturated-ramp model to the
 /// first 2%, 20% and 80% output crossings at t >= kTheveninInputStart of
 /// the recorded ramp response `out`, given the DC effective resistance.
+/// The fit matches the model crossings `crossing` gives; the test oracles
+/// pass their own bisection there.
 TheveninModel fitThevenin(const TheveninSpec& spec, const wave::Waveform& out,
-                          double rth);
+                          double rth, CrossingFn crossing = rampRcCrossing);
 
 }  // namespace sna::charlib

@@ -20,6 +20,7 @@
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace sna::charlib {
 
@@ -98,14 +99,22 @@ std::string keyOf(const PropagationSpec& s) {
     return os.str();
 }
 
-std::string keyOf(const NrcSpec& s) {
+// The per-width NRC key: every NrcSpec field but the width list, then the
+// one width. A legacy full-curve key is the same prefix followed by every
+// width of the curve, which is what load() splits on.
+std::string nrcKeyPrefix(const NrcSpec& s) {
     SNA_REQUIRE(s.cell != nullptr, "NRC spec needs a cell");
     std::ostringstream os;
     putTech(os, *s.cell);
     os << s.cell->name() << '/' << s.input << '/' << s.quietLevel;
     putDouble(os, s.loadCap);
     putDouble(os, s.failFraction);
-    for (const double w : s.widths) putDouble(os, w);
+    return os.str();
+}
+
+std::string widthField(double w) {
+    std::ostringstream os;
+    putDouble(os, w);
     return os.str();
 }
 
@@ -117,24 +126,33 @@ std::string keyOf(const NrcSpec& s) {
 //   entry ...
 //   end <record-count>
 //
-// Each payload is exactly the charlib/model_io serialization of the value
-// (hex-float, exact round-trip), so the on-disk models inherit model_io's
-// versioning and tests. Keys are percent-escaped (they are slash-separated
-// hex fields plus free-form technology/cell names); payloads are carried
-// by byte count, so the loader never has to parse them to skip them. The
-// CRC32 (reflected 0xEDB88320, same as zip/zlib) covers the unescaped key
-// followed by the raw payload bytes — both lengths are pinned by the record
-// line, so the digest is unambiguous. A record whose stored CRC disagrees
-// with the bytes read is individually rejected; everything after it (whose
-// framing is intact) still loads. Legacy "snacache v1" records are the same
-// minus the CRC field and load without per-record verification.
+// Kinds: loadcurve, thevenin and propagation payloads are exactly the
+// charlib/model_io serialization of the value (hex-float, exact
+// round-trip), so the on-disk models inherit model_io's versioning and
+// tests. An nrcwidth payload is the one failing height as a hex float; its
+// key is the NRC spec without its width list plus the single width. The
+// legacy nrc kind (a model_io NRC curve keyed by the spec plus every
+// width) is only read: load() strips the curve's widths from the key and
+// inserts one nrcwidth entry per node. Readers skip kinds they do not know
+// (counted as skipped), so adding a kind needs no version bump.
+//
+// Keys are percent-escaped (they are slash-separated hex fields plus
+// free-form technology/cell names); payloads are carried by byte count, so
+// the loader never has to parse them to skip them. The CRC32 (reflected
+// 0xEDB88320, same as zip/zlib) covers the unescaped key followed by the
+// raw payload bytes — both lengths are pinned by the record line, so the
+// digest is unambiguous. A record whose stored CRC disagrees with the bytes
+// read is individually rejected; everything after it (whose framing is
+// intact) still loads. Legacy "snacache v1" records are the same minus the
+// CRC field and load without per-record verification.
 
 constexpr const char* kCacheHeaderV2 = "snacache v2";
 constexpr const char* kCacheHeaderV1 = "snacache v1";
 
 constexpr const char* kKindLoadCurve = "loadcurve";
 constexpr const char* kKindThevenin = "thevenin";
-constexpr const char* kKindNrc = "nrc";
+constexpr const char* kKindNrcWidth = "nrcwidth";
+constexpr const char* kKindLegacyNrc = "nrc";  // full curve; read only
 constexpr const char* kKindPropagation = "propagation";
 
 std::string escapeKey(const std::string& key) {
@@ -280,6 +298,26 @@ bool CharCache::insertFromDisk(Table<T>& table, const std::string& key,
     return true;
 }
 
+bool CharCache::insertLegacyNrc(const std::string& curveKey,
+                                const la::Grid1d& curve) {
+    std::string widths;
+    for (const double w : curve.xs()) widths += widthField(w);
+    if (curveKey.size() < widths.size() ||
+        curveKey.compare(curveKey.size() - widths.size(), widths.size(),
+                         widths) != 0) {
+        return false;
+    }
+    const std::string prefix =
+        curveKey.substr(0, curveKey.size() - widths.size());
+    bool inserted = false;
+    for (std::size_t i = 0; i < curve.size(); ++i) {
+        inserted |= insertFromDisk(
+            nrcHeights_, prefix + widthField(curve.xs()[i]),
+            std::make_shared<const double>(curve.ys()[i]));
+    }
+    return inserted;
+}
+
 std::shared_ptr<const la::Grid2d> CharCache::loadCurve(
     const LoadCurveSpec& spec) {
     return getOrCompute(loadCurves_, keyOf(spec),
@@ -292,9 +330,17 @@ std::shared_ptr<const TheveninModel> CharCache::thevenin(
                         [&] { return characterizeThevenin(spec); });
 }
 
-std::shared_ptr<const la::Grid1d> CharCache::nrc(const NrcSpec& spec) {
-    return getOrCompute(nrcs_, keyOf(spec),
-                        [&] { return characterizeNrc(spec); });
+double CharCache::nrcHeight(const NrcSpec& spec, double width) {
+    return *getOrCompute(nrcHeights_, nrcKeyPrefix(spec) + widthField(width),
+                         [&] { return nrcFailingHeight(spec, width); });
+}
+
+la::Grid1d CharCache::nrc(const NrcSpec& spec) {
+    SNA_REQUIRE(spec.widths.size() >= 2, "NRC needs at least two widths");
+    std::vector<double> heights;
+    heights.reserve(spec.widths.size());
+    for (const double w : spec.widths) heights.push_back(nrcHeight(spec, w));
+    return la::Grid1d(spec.widths, std::move(heights));
 }
 
 std::shared_ptr<const PropagationTable> CharCache::propagation(
@@ -318,17 +364,17 @@ CharCache::Stats CharCache::stats() const {
     s.loadCurveHits = loadCurves_.hits;
     s.theveninRuns = thevenins_.runs;
     s.theveninHits = thevenins_.hits;
-    s.nrcRuns = nrcs_.runs;
-    s.nrcHits = nrcs_.hits;
+    s.nrcRuns = nrcHeights_.runs;
+    s.nrcHits = nrcHeights_.hits;
     s.propagationRuns = propagations_.runs;
     s.propagationHits = propagations_.hits;
     s.loadCurveDiskHits = loadCurves_.diskHits;
     s.theveninDiskHits = thevenins_.diskHits;
-    s.nrcDiskHits = nrcs_.diskHits;
+    s.nrcDiskHits = nrcHeights_.diskHits;
     s.propagationDiskHits = propagations_.diskHits;
     s.loadCurveOverflow = loadCurves_.overflow;
     s.theveninOverflow = thevenins_.overflow;
-    s.nrcOverflow = nrcs_.overflow;
+    s.nrcOverflow = nrcHeights_.overflow;
     s.propagationOverflow = propagations_.overflow;
     s.corruptRecords = corruptRecords_;
     return s;
@@ -339,7 +385,7 @@ CharCache::Limits CharCache::limits() const {
     Limits l;
     l.loadCurves = loadCurves_.maxEntries;
     l.thevenins = thevenins_.maxEntries;
-    l.nrcs = nrcs_.maxEntries;
+    l.nrcs = nrcHeights_.maxEntries;
     l.propagations = propagations_.maxEntries;
     return l;
 }
@@ -348,7 +394,7 @@ void CharCache::setLimits(const Limits& limits) {
     const std::lock_guard<std::mutex> lock(mu_);
     loadCurves_.maxEntries = limits.loadCurves;
     thevenins_.maxEntries = limits.thevenins;
-    nrcs_.maxEntries = limits.nrcs;
+    nrcHeights_.maxEntries = limits.nrcs;
     propagations_.maxEntries = limits.propagations;
 }
 
@@ -379,8 +425,8 @@ CharCache::PersistResult CharCache::save(const std::string& path) const {
                  [](const la::Grid2d& v) { return saveLoadCurve(v); });
         snapshot(thevenins_, kKindThevenin,
                  [](const TheveninModel& v) { return saveThevenin(v); });
-        snapshot(nrcs_, kKindNrc,
-                 [](const la::Grid1d& v) { return saveNrc(v); });
+        snapshot(nrcHeights_, kKindNrcWidth,
+                 [](double v) { return str::formatDoubleHex(v); });
         snapshot(propagations_, kKindPropagation,
                  [](const PropagationTable& v) { return savePropagation(v); });
     }
@@ -575,10 +621,12 @@ CharCache::PersistResult CharCache::load(const std::string& path) {
                     thevenins_, key,
                     std::make_shared<const TheveninModel>(
                         loadThevenin(payload)));
-            } else if (k == kKindNrc) {
-                inserted = insertFromDisk(
-                    nrcs_, key,
-                    std::make_shared<const la::Grid1d>(loadNrc(payload)));
+            } else if (k == kKindNrcWidth) {
+                const auto h = str::parseDoubleToken(payload);
+                inserted = h && insertFromDisk(nrcHeights_, key,
+                                               std::make_shared<const double>(*h));
+            } else if (k == kKindLegacyNrc) {
+                inserted = insertLegacyNrc(key, loadNrc(payload));
             } else if (k == kKindPropagation) {
                 inserted = insertFromDisk(
                     propagations_, key,
@@ -636,7 +684,7 @@ void CharCache::clear() {
     };
     reset(loadCurves_);
     reset(thevenins_);
-    reset(nrcs_);
+    reset(nrcHeights_);
     reset(propagations_);
     corruptRecords_ = 0;
 }

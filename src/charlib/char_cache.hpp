@@ -5,28 +5,41 @@
 // clusters; a design-level sweep re-deriving the same NAND2 load curve for
 // every victim net throws that away. CharCache memoizes the four
 // characterizations the cluster flow consumes — load-curve tables (DC
-// sweeps), aggressor Thevenin equivalents, receiver NRCs, and propagation
-// tables — keyed on the exact spec (technology's full electrical identity,
-// cell name, pin, level, grid, bitwise numeric parameters), so a hit
-// returns the identical model the direct call would have produced.
+// sweeps), aggressor Thevenin equivalents, receiver NRC heights, and
+// propagation tables — keyed on the exact spec (technology's full
+// electrical identity, cell name, pin, level, grid, bitwise numeric
+// parameters), so a hit returns the identical model the direct call would
+// have produced.
+//
+// NRCs are stored per width: one entry is the failing height of one
+// (receiver, input, quiet level, load, failFraction) at one bitwise width.
+// A report interpolates between the two canonical widths that bracket its
+// glitch, so only the widths some report reads are ever characterized.
+// Each width bisects on its own bench, so an entry is bitwise the value a
+// full-curve characterization gives at that node.
 //
 // Thread-safe with single-flight semantics: when two workers request the
 // same uncharacterized key, one runs the sweep and the other blocks on the
-// shared future, so each (cell, level, grid) is characterized exactly once
-// per run no matter how many clusters need it.
+// shared future, so each (cell, level, width) — and each load curve,
+// Thevenin model and propagation table — is characterized exactly once per
+// run no matter how many clusters need it.
 //
 // Persistence ("snacache v2"): save() serializes every ready entry through
-// the charlib/model_io round-trip formats, each record carrying its payload
-// length and a CRC32 over key + payload; load() warm-starts a cache from
-// disk, inserting only keys not already present (single-flight-safe even
-// while workers are characterizing). Keys embed the technology identity and
-// every grid parameter, so a stale or foreign file degrades to plain cache
-// misses — never to wrong models. The cache is self-healing: a record whose
-// CRC does not match (bit rot, torn write) is skipped and counted, a
-// truncated file keeps its CRC-valid prefix, and legacy v1 files (no CRCs)
-// still load. Cross-process coordination is an advisory flock on a ".lock"
-// sibling (non-blocking, bounded retry with backoff); writers that cannot
-// get it still publish safely via the atomic tmp + rename protocol.
+// the charlib/model_io round-trip formats (an NRC width entry as one
+// "nrcwidth" record whose payload is the hex-float height), each record
+// carrying its payload length and a CRC32 over key + payload; load()
+// warm-starts a cache from disk, inserting only keys not already present
+// (single-flight-safe even while workers are characterizing). A legacy
+// full-curve "nrc" record loads as one width entry per curve node. Keys
+// embed the technology identity and every grid parameter, so a stale or
+// foreign file degrades to plain cache misses — never to wrong models; a
+// reader that does not know a record kind skips it. The cache is
+// self-healing: a record whose CRC does not match (bit rot, torn write) is
+// skipped and counted, a truncated file keeps its CRC-valid prefix, and
+// legacy v1 files (no CRCs) still load.
+// Cross-process coordination is an advisory flock on a ".lock" sibling
+// (non-blocking, bounded retry with backoff); writers that cannot get it
+// still publish safely via the atomic tmp + rename protocol.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +65,13 @@ public:
     /// Thevenin equivalent for the spec; characterizes on first use.
     std::shared_ptr<const TheveninModel> thevenin(const TheveninSpec& spec);
 
-    /// Noise rejection curve for the spec; characterizes on first use.
-    std::shared_ptr<const la::Grid1d> nrc(const NrcSpec& spec);
+    /// NRC failing height at one width (spec.widths is ignored): bitwise
+    /// charlib::nrcFailingHeight(spec, width); characterizes on first use.
+    double nrcHeight(const NrcSpec& spec, double width);
+
+    /// Noise rejection curve over spec.widths, assembled from the per-width
+    /// entries (each characterized on first use).
+    la::Grid1d nrc(const NrcSpec& spec);
 
     /// Noise-propagation table for the spec; characterizes on first use.
     /// The wavefront pipeline keys these on a canonical load per cell, so
@@ -74,7 +92,7 @@ public:
         std::size_t loadCurveHits = 0;  ///< hits on entries computed this run
         std::size_t theveninRuns = 0;
         std::size_t theveninHits = 0;
-        std::size_t nrcRuns = 0;
+        std::size_t nrcRuns = 0;  ///< NRC widths bisected
         std::size_t nrcHits = 0;
         std::size_t propagationRuns = 0;
         std::size_t propagationHits = 0;
@@ -120,7 +138,7 @@ public:
     struct Limits {
         std::size_t loadCurves = 65536;
         std::size_t thevenins = 4096;
-        std::size_t nrcs = 65536;
+        std::size_t nrcs = 65536;  ///< NRC width entries
         std::size_t propagations = 4096;
     };
     Limits limits() const;
@@ -201,11 +219,16 @@ private:
     bool insertFromDisk(Table<T>& table, const std::string& key,
                         std::shared_ptr<const T> value);
 
+    /// Splits a legacy full-curve NRC record into per-width entries;
+    /// returns true when any was inserted, false (skip) when none was or
+    /// the key does not end in the curve's widths.
+    bool insertLegacyNrc(const std::string& curveKey, const la::Grid1d& curve);
+
     mutable std::mutex mu_;
     std::size_t corruptRecords_ = 0;  ///< cumulative CRC rejects (see Stats)
     Table<la::Grid2d> loadCurves_;
     Table<TheveninModel> thevenins_{{}, 0, 0, 0, 0, 4096};
-    Table<la::Grid1d> nrcs_;
+    Table<double> nrcHeights_;  ///< one entry per NRC width
     /// Bounded like thevenins_: ClusterMacromodel keys embed the bitwise
     /// cluster load cap, which never repeats on real extracted parasitics.
     Table<PropagationTable> propagations_{{}, 0, 0, 0, 0, 4096};

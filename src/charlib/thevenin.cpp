@@ -13,8 +13,6 @@ wave::Waveform TheveninModel::ramp(double t0, double tEnd) const {
     return wave::saturatedRamp(vStart, vEnd, t0, slew, tEnd);
 }
 
-namespace {
-
 // Analytic crossing time of the (ramp + R)ic load C response at `frac` of
 // the swing. Response (normalized swing 1, ramp duration tau, time constant
 // rc, ramp starts at 0):
@@ -36,6 +34,9 @@ double rampRcCrossing(double frac, double tau, double rc) {
     while (value(hi) < frac) hi *= 2.0;
     for (int it = 0; it < 100; ++it) {
         const double mid = 0.5 * (lo + hi);
+        // lo and hi are adjacent doubles: every later iteration would
+        // recompute this same mid and leave both ends unchanged.
+        if (mid == lo || mid == hi) break;
         if (value(mid) < frac) {
             lo = mid;
         } else {
@@ -44,6 +45,8 @@ double rampRcCrossing(double frac, double tau, double rc) {
     }
     return 0.5 * (lo + hi);
 }
+
+namespace {
 
 // Does the output cross `target` (in the transition's direction) between
 // consecutive samples a and b?
@@ -93,7 +96,7 @@ double effectiveResistance(const TheveninSpec& spec,
 }  // namespace
 
 TheveninModel fitThevenin(const TheveninSpec& spec, const wave::Waveform& out,
-                          double rth) {
+                          double rth, CrossingFn crossing) {
     const double vdd = spec.cell->technology().vdd;
     const double tStart = kTheveninInputStart;
     const double vStart = spec.outputRising ? 0.0 : vdd;
@@ -110,8 +113,8 @@ TheveninModel fitThevenin(const TheveninSpec& spec, const wave::Waveform& out,
     const double m20 = t20 - tLaunch;
     const double m80 = t80 - tLaunch;
     auto error = [&](double tau) {
-        const double c20 = rampRcCrossing(0.2, tau, rc);
-        const double c80 = rampRcCrossing(0.8, tau, rc);
+        const double c20 = crossing(0.2, tau, rc);
+        const double c80 = crossing(0.8, tau, rc);
         const double e20 = (c20 - m20) / m80;
         const double e80 = (c80 - m80) / m80;
         return e20 * e20 + e80 * e80;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/error.hpp"
@@ -20,6 +21,10 @@ struct Axis {
     double hi = 0.0;
     bool active = true;
 };
+
+bool sameBits(double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 double clampTo(double t, const Axis& ax) {
     return std::min(std::max(t, ax.lo), ax.hi);
@@ -157,6 +162,14 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
                     ax);
                 if (t == lastT) continue;  // clamp collapsed the candidate
                 lastT = t;
+                // The incumbent itself would rerun bitwise its transient,
+                // which cannot win the strict test below. Compared with the
+                // current incumbent, not `center`: once an earlier probe of
+                // this sweep wins, `center` is a new point.
+                if (sameBits(t, isGlitch ? best.glitchTime
+                                         : best.aggressorSwitchTimes[v])) {
+                    continue;
+                }
                 auto aggTimes = best.aggressorSwitchTimes;
                 double glitchTime = best.glitchTime;
                 if (isGlitch) {

@@ -42,6 +42,8 @@ struct AlignmentResult {
     std::vector<double> aggressorSwitchTimes;
     double glitchTime = 0.0;
     NoiseResult worst;
+    /// Transients run (refinement points equal to the incumbent are not
+    /// re-run).
     int evaluations = 0;
 };
 

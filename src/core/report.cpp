@@ -33,11 +33,11 @@ double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
         return charlib::nrcFailingHeight(nrc,
                                          std::max(m.width, nrcOpt.widthMin));
     }
-    // Default: probe the canonical width grid once per (cell, quiet level)
-    // and evaluate the measured width by interpolation — the grid is what
-    // makes the curve cacheable across every cluster of a run. Half-octave
-    // spacing with log-width interpolation keeps the deviation from an
-    // exact-width probe within ~0.15% — the bisection's own resolution.
+    // Default: read the curve on the canonical width grid and evaluate the
+    // measured width by interpolation — the grid is what makes the heights
+    // cacheable across every cluster of a run. Half-octave spacing with
+    // log-width interpolation keeps the deviation from an exact-width probe
+    // within ~0.15% — the bisection's own resolution.
     const std::vector<double> grid = nrcOpt.grid();
     SNA_REQUIRE(grid.size() >= 2, "NRC width grid needs >= 2 points");
     const double w = std::max(m.width, grid.front());
@@ -47,32 +47,25 @@ double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
         // glitch, which is optimistic. Probe the actual width instead.
         return charlib::nrcFailingHeight(nrc, w);
     }
-    const bool logInterp = nrcOpt.interp == NrcOptions::Interp::kLogWidth;
-    const auto eval = [w, logInterp](const la::Grid1d& curve) {
-        const auto& xs = curve.xs();
-        const auto& ys = curve.ys();
-        if (w <= xs.front()) return ys.front();
-        std::size_t i = 0;
-        while (i + 2 < xs.size() && xs[i + 1] <= w) ++i;
-        const double t =
-            logInterp ? (std::log(w) - std::log(xs[i])) /
-                            (std::log(xs[i + 1]) - std::log(xs[i]))
-                      : (w - xs[i]) / (xs[i + 1] - xs[i]);
-        return ys[i] + t * (ys[i + 1] - ys[i]);
+    // Each width bisects independently, so only the two grid widths that
+    // bracket w are characterized (once per run through the cache), and
+    // the interpolated value is bitwise the full curve's.
+    const auto height = [&](double width) {
+        return cache != nullptr ? cache->nrcHeight(nrc, width)
+                                : charlib::nrcFailingHeight(nrc, width);
     };
-    if (cache != nullptr) {
-        // Cached: characterize the full canonical grid once per (cell,
-        // level); every cluster then interpolates from the shared curve.
-        nrc.widths = grid;
-        return eval(*cache->nrc(nrc));
-    }
-    // Uncached: each width bisects independently, so characterizing just the
-    // two widths bracketing w gives the bit-identical interpolated value at
-    // a fraction of the cost.
     std::size_t i = 0;
     while (i + 2 < grid.size() && grid[i + 1] <= w) ++i;
-    nrc.widths = {grid[i], grid[i + 1]};
-    return eval(charlib::characterizeNrc(nrc));
+    const double y0 = height(grid[i]);
+    // On a node the upper width would enter with weight 0 (y0 + 0 * d is
+    // y0 for finite d), so it is not read.
+    if (w <= grid[i]) return y0;
+    const double y1 = height(grid[i + 1]);
+    const double t = nrcOpt.interp == NrcOptions::Interp::kLogWidth
+                         ? (std::log(w) - std::log(grid[i])) /
+                               (std::log(grid[i + 1]) - std::log(grid[i]))
+                         : (w - grid[i]) / (grid[i + 1] - grid[i]);
+    return y0 + t * (y1 - y0);
 }
 
 ClusterReport analyzeCluster(const ClusterSpec& spec,

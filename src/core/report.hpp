@@ -24,10 +24,10 @@ struct ClusterReport {
 };
 
 /// The canonical NRC probe grid and its evaluation mode. The NRC is a
-/// property of the receiver cell, not of one glitch: probing a canonical
-/// width grid once per (cell, quiet level) makes the curve cacheable across
-/// every cluster of a run, and the measured width is then evaluated by
-/// interpolation on that grid.
+/// property of the receiver cell, not of one glitch: probing canonical
+/// widths makes each height cacheable across every cluster of a run, and
+/// the measured width is then evaluated by interpolation between the two
+/// grid widths that bracket it.
 struct NrcOptions {
     /// First probed width, s.
     double widthMin = 20e-12;
@@ -62,8 +62,9 @@ ClusterReport analyzeCluster(const ClusterSpec& spec,
                              const ReportOptions& opt = {});
 
 /// NRC check only (reusable by the design flow): failing height of the
-/// receiver at the measured width. With a cache, the NRC characterization
-/// runs at most once per (receiver cell, level, width grid).
+/// receiver at the measured width. Reads at most the two canonical grid
+/// widths that bracket it; with a cache, each (receiver cell, level, width)
+/// is characterized at most once per run.
 double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
                    charlib::CharCache* cache = nullptr,
                    const NrcOptions& nrcOpt = {});

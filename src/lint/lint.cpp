@@ -359,7 +359,7 @@ void lintCharacterization(const core::DesignIndex& index,
             ns.widths = grid;
             std::optional<Diagnostic> d;
             try {
-                d = checkNrcMonotone(*cache->nrc(ns), cellName);
+                d = checkNrcMonotone(cache->nrc(ns), cellName);
             } catch (const Error&) {
                 continue;  // quiet level not sensitizable on this pin
             }

@@ -114,6 +114,30 @@ la::Grid1d referenceNrc(const charlib::NrcSpec& spec) {
     return la::Grid1d(spec.widths, std::move(hFail));
 }
 
+double referenceRampRcCrossing(double frac, double tau, double rc) {
+    SNA_REQUIRE(frac > 0.0 && frac < 1.0, "crossing fraction out of range");
+    auto value = [&](double t) {
+        if (t <= tau) {
+            return (t - rc * (1.0 - std::exp(-t / rc))) / tau;
+        }
+        return 1.0 -
+               (rc / tau) * (1.0 - std::exp(-tau / rc)) *
+                   std::exp(-(t - tau) / rc);
+    };
+    double lo = 0.0;
+    double hi = tau + rc;
+    while (value(hi) < frac) hi *= 2.0;
+    for (int it = 0; it < 100; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        if (value(mid) < frac) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    return 0.5 * (lo + hi);
+}
+
 charlib::TheveninModel referenceThevenin(const charlib::TheveninSpec& spec) {
     const cell::Cell& cellRef = *spec.cell;
     const double vdd = cellRef.technology().vdd;
@@ -133,7 +157,8 @@ charlib::TheveninModel referenceThevenin(const charlib::TheveninSpec& spec) {
         /*loadCap=*/0.0, 0.5 * vdd);
     const double current = spice::solveDc(clamp.ckt).sourceCurrent("v_out");
     return charlib::fitThevenin(spec, ramp.out(tStop),
-                                (0.5 * vdd) / std::abs(current));
+                                (0.5 * vdd) / std::abs(current),
+                                referenceRampRcCrossing);
 }
 
 charlib::PropagationTable referencePropagation(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -158,3 +159,118 @@ AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
 }
 
 }  // namespace sna::core
+
+namespace sna::testsupport {
+
+core::AlignmentResult referenceWorstAlignment(
+    const core::ClusterMacromodel& model, const core::AlignmentOptions& opt) {
+    using core::objective;
+    struct Axis {
+        double lo = 0.0;
+        double hi = 0.0;
+        bool active = true;
+    };
+    const auto clampTo = [](double t, const Axis& ax) {
+        return std::min(std::max(t, ax.lo), ax.hi);
+    };
+    constexpr double kQuiet = std::numeric_limits<double>::infinity();
+    const core::ClusterSpec& spec = model.spec();
+    const bool hasGlitch = spec.victim.glitchHeight > 0.0;
+    const double tMax = 0.8 * spec.tstop;
+
+    std::vector<Axis> aggAxis(spec.aggressors.size());
+    for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
+        Axis ax{0.0, tMax, true};
+        if (!opt.aggressorWindows.empty()) {
+            const core::TimingWindow& w = opt.aggressorWindows[a];
+            const auto& m = model.aggressorModels()[a];
+            if (w.empty()) {
+                ax.active = false;
+            } else {
+                ax.lo = std::max(0.0, w.earliest - m.delay - m.slew);
+                ax.hi = std::min(tMax, w.latest - m.delay);
+                ax.active = ax.lo <= ax.hi;
+            }
+        }
+        aggAxis[a] = ax;
+    }
+    Axis glitchAxis{0.0, tMax, hasGlitch};
+    if (hasGlitch && opt.glitchWindow.bounded()) {
+        glitchAxis.lo = std::max(
+            0.0, opt.glitchWindow.earliest - spec.victim.glitchWidth);
+        glitchAxis.hi = std::min(tMax, opt.glitchWindow.latest);
+    }
+
+    core::InitialTimes times = core::peakAlignedInit(model);
+    for (std::size_t a = 0; a < times.agg.size(); ++a) {
+        times.agg[a] =
+            aggAxis[a].active ? clampTo(times.agg[a], aggAxis[a]) : kQuiet;
+    }
+    if (hasGlitch) times.glitch = clampTo(times.glitch, glitchAxis);
+
+    core::AlignmentResult best;
+    best.aggressorSwitchTimes = times.agg;
+    best.glitchTime = times.glitch;
+    double bestVal = objective(model, times.agg, times.glitch, &best.worst);
+    best.evaluations = 1;
+
+    std::vector<double> specTimes;
+    for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
+        specTimes.push_back(
+            aggAxis[a].active
+                ? clampTo(spec.aggressors[a].switchTime, aggAxis[a])
+                : kQuiet);
+    }
+    const double specGlitch =
+        hasGlitch ? clampTo(spec.victim.glitchTime, glitchAxis) : times.glitch;
+    core::NoiseResult specRun;
+    const double specVal = objective(model, specTimes, specGlitch, &specRun);
+    ++best.evaluations;
+    if (specVal >= bestVal) {
+        bestVal = specVal;
+        best.aggressorSwitchTimes = std::move(specTimes);
+        best.glitchTime = specGlitch;
+        best.worst = std::move(specRun);
+    }
+
+    const std::size_t vars = times.agg.size() + (hasGlitch ? 1 : 0);
+    double window = opt.window;
+    for (int round = 0; round < opt.rounds; ++round) {
+        for (std::size_t v = 0; v < vars; ++v) {
+            const bool isGlitch = hasGlitch && v == times.agg.size();
+            const Axis& ax = isGlitch ? glitchAxis : aggAxis[v];
+            if (!ax.active) continue;
+            const double center =
+                isGlitch ? best.glitchTime : best.aggressorSwitchTimes[v];
+            double lastT = -1.0;
+            for (int k = 0; k < opt.coarsePoints; ++k) {
+                const double t = clampTo(
+                    center - 0.5 * window +
+                        window * k / std::max(1, opt.coarsePoints - 1),
+                    ax);
+                if (t == lastT) continue;
+                lastT = t;
+                auto aggTimes = best.aggressorSwitchTimes;
+                double glitchTime = best.glitchTime;
+                if (isGlitch) {
+                    glitchTime = t;
+                } else {
+                    aggTimes[v] = t;
+                }
+                core::NoiseResult r;
+                const double val = objective(model, aggTimes, glitchTime, &r);
+                ++best.evaluations;
+                if (val > bestVal) {
+                    bestVal = val;
+                    best.aggressorSwitchTimes = aggTimes;
+                    best.glitchTime = glitchTime;
+                    best.worst = std::move(r);
+                }
+            }
+        }
+        window /= 3.0;
+    }
+    return best;
+}
+
+}  // namespace sna::testsupport

@@ -27,3 +27,16 @@ AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
                                          double window, int pointsPerAxis);
 
 }  // namespace sna::core
+
+namespace sna::testsupport {
+
+/// findWorstAlignment as it ran before incumbent re-probes were skipped:
+/// every refinement point is probed, each on a freshly built circuit
+/// (ClusterMacromodel::analyzeAt). Same axes, candidates, order and strict
+/// improvement test, so the production search must match it bitwise in
+/// everything but `evaluations`.
+core::AlignmentResult referenceWorstAlignment(
+    const core::ClusterMacromodel& model,
+    const core::AlignmentOptions& opt = {});
+
+}  // namespace sna::testsupport

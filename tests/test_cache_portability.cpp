@@ -3,16 +3,20 @@
 // (including the legacy printf-%a spellings older cache files carry),
 // model_io and snacache round-trips under a forced comma-decimal locale
 // (skipped when the container ships no such locale), a comma-decimal C++
-// stream locale (always runs — built from a custom numpunct facet), and a
-// two-writer save() stress on one path.
+// stream locale (always runs — built from a custom numpunct facet), a
+// two-writer save() stress on one path, and a legacy full-curve NRC record
+// loading as per-width entries.
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <locale>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,9 +24,11 @@
 #include "celllib/library.hpp"
 #include "charlib/char_cache.hpp"
 #include "charlib/model_io.hpp"
+#include "core/report.hpp"
 #include "tech/tech.hpp"
 #include "testsupport/temp_cache.hpp"
 #include "waveform/waveform.hpp"
+#include "util/crc32.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -248,6 +254,98 @@ TEST(ConcurrentSave, TwoWritersOnePathNeverCorrupt) {
         if (base.rfind(name + ".tmp.", 0) == 0) ++leftover;
     }
     EXPECT_EQ(leftover, 0u);
+}
+
+// ------------------------------------------------------ legacy NRC curves
+
+std::string slurpFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(LegacyNrcRecord, LoadsAsWidthEntriesThatServeNrcLimits) {
+    // Caches written before NRCs were stored per width hold one "nrc"
+    // record per canonical curve. Such a file must load as one width entry
+    // per curve node, and those entries must serve the bracket lookup of
+    // nrcLimitFor without a single characterization.
+    core::ClusterSpec spec;
+    spec.victim.receiverCell = "INV_X1";
+    spec.victim.outputLevel = false;
+    charlib::NrcSpec nrc;
+    nrc.cell = &cell::sharedLibrary(*spec.technology).cell("INV_X1");
+    nrc.input = "a";
+    nrc.quietLevel = false;
+    nrc.widths = core::NrcOptions{}.grid();
+
+    // The width-free key prefix, read off a cache holding one width entry.
+    const testsupport::TempCacheFile probeFile(
+        tmpPath("sna_legacy_nrc_probe.snacache"));
+    {
+        charlib::CharCache probe;
+        probe.nrcHeight(nrc, nrc.widths.front());
+        ASSERT_TRUE(probe.save(probeFile.path()).ok);
+    }
+    const std::string probeText = slurpFile(probeFile.path());
+    const std::string tag = "entry nrcwidth ";
+    const std::size_t at = probeText.find(tag);
+    ASSERT_NE(at, std::string::npos);
+    std::istringstream line(
+        probeText.substr(at, probeText.find('\n', at) - at));
+    std::string word, bytes, crc, widthKey;
+    line >> word >> word >> bytes >> crc >> widthKey;
+    ASSERT_EQ(widthKey.find('%'), std::string::npos);  // no escapes to undo
+    std::string curveKey = widthKey.substr(0, widthKey.rfind('/'));
+    for (const double w : nrc.widths) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &w, sizeof(bits));
+        std::ostringstream field;
+        field << '/' << std::hex << bits;
+        curveKey += field.str();
+    }
+
+    const la::Grid1d curve = charlib::characterizeNrc(nrc);
+    const std::string payload = charlib::saveNrc(curve);
+    char crcHex[9];
+    std::snprintf(crcHex, sizeof(crcHex), "%08x",
+                  util::crc32(curveKey + payload));
+    const testsupport::TempCacheFile legacyFile(
+        tmpPath("sna_legacy_nrc.snacache"));
+    {
+        std::ofstream out(legacyFile.path(), std::ios::binary);
+        out << "snacache v2\nentry nrc " << payload.size() << ' ' << crcHex
+            << ' ' << curveKey << '\n'
+            << payload << "\nend 1\n";
+    }
+
+    charlib::CharCache warm;
+    const auto loaded = warm.load(legacyFile.path());
+    ASSERT_TRUE(loaded.ok) << loaded.error;
+    EXPECT_EQ(loaded.entries, 1u);
+    EXPECT_EQ(loaded.corrupt, 0u);
+
+    wave::GlitchMetrics m;
+    m.width = 300e-12;  // between two grid nodes: both are read
+    EXPECT_EQ(core::nrcLimitFor(spec, m, &warm),
+              core::nrcLimitFor(spec, m, nullptr));
+    EXPECT_EQ(warm.stats().nrcRuns, 0u);
+    EXPECT_EQ(warm.stats().nrcDiskHits, 2u);
+    EXPECT_EQ(warm.nrc(nrc).ys(), curve.ys());
+    EXPECT_EQ(warm.stats().nrcRuns, 0u);
+
+    // Saving writes the split entries in the per-width kind only.
+    const testsupport::TempCacheFile resaved(
+        tmpPath("sna_legacy_nrc_resaved.snacache"));
+    ASSERT_TRUE(warm.save(resaved.path()).ok);
+    const std::string text = slurpFile(resaved.path());
+    std::size_t widthRecords = 0;
+    for (std::size_t p = text.find(tag); p != std::string::npos;
+         p = text.find(tag, p + 1)) {
+        ++widthRecords;
+    }
+    EXPECT_EQ(widthRecords, nrc.widths.size());
+    EXPECT_EQ(text.find("entry nrc "), std::string::npos);
 }
 
 }  // namespace

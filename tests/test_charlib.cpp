@@ -1,14 +1,16 @@
 // Tests for cell characterization: load curves (the paper's Eq. (1)),
 // holding resistance, Thevenin fits, propagation tables, NRCs, and input
 // capacitance measurement; bitwise agreement of the reused-bench,
-// early-stopping characterizations with their fresh-circuit oracles; and
-// concurrent characterization through one CharCache.
+// early-stopping characterizations with their fresh-circuit oracles;
+// concurrent characterization through one CharCache; and per-width NRC
+// cache entries.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <thread>
 
 #include "celllib/library.hpp"
+#include "charlib/cell_bench.hpp"
 #include "charlib/char_cache.hpp"
 #include "charlib/characterize.hpp"
 #include "spice/tran.hpp"
@@ -293,6 +295,11 @@ void expectSameModel(const charlib::TheveninModel& a,
 }
 
 TEST(BenchOracle, NrcMatchesFreshFullLengthBisection) {
+    // Both the one-bench curve and the curve a CharCache assembles from
+    // its per-width entries; a second cached curve sharing a width
+    // characterizes only its new one.
+    charlib::CharCache cache;
+    std::size_t widths = 0;
     for (const auto& [name, pin] : benchCells()) {
         for (const bool quiet : {false, true}) {
             charlib::NrcSpec spec;
@@ -305,8 +312,14 @@ TEST(BenchOracle, NrcMatchesFreshFullLengthBisection) {
             EXPECT_EQ(curve.xs(), oracle.xs()) << name << "/" << pin;
             EXPECT_EQ(curve.ys(), oracle.ys())
                 << name << "/" << pin << " quiet " << quiet;
+            EXPECT_EQ(cache.nrc(spec).ys(), oracle.ys())
+                << name << "/" << pin << " quiet " << quiet << " cached";
+            spec.widths = {120e-12, 300e-12};
+            EXPECT_EQ(cache.nrc(spec).ys().front(), oracle.ys()[1]);
+            widths += 4;
         }
     }
+    EXPECT_EQ(cache.stats().nrcRuns, widths);
 }
 
 TEST(BenchOracle, TheveninMatchesFreshFullLengthFit) {
@@ -322,6 +335,59 @@ TEST(BenchOracle, TheveninMatchesFreshFullLengthFit) {
                             testsupport::referenceThevenin(spec));
         }
     }
+}
+
+TEST(BenchOracle, RampRcCrossingMatchesFullBisection) {
+    // The crossing bisection stops once its bracket's ends are adjacent
+    // doubles; over a sweep of fractions, ramp durations and RC constants
+    // it must return bitwise what all 100 steps give.
+    std::size_t cases = 0;
+    for (const double frac : {0.02, 0.2, 0.5, 0.8, 0.98}) {
+        for (double tau = 1e-13; tau < 3e-9; tau *= 1.7) {
+            for (double rc = 1e-14; rc < 3e-9; rc *= 1.9) {
+                EXPECT_EQ(charlib::rampRcCrossing(frac, tau, rc),
+                          testsupport::referenceRampRcCrossing(frac, tau, rc))
+                    << frac << " " << tau << " " << rc;
+                ++cases;
+            }
+        }
+    }
+    EXPECT_GT(cases, 1000u);
+}
+
+TEST(BenchOracle, EveryTheveninFitOfBothTechnologies) {
+    // Every cell, input and output direction of every bundled technology:
+    // the production fit (reused bench, early stop, crossing bisection left
+    // at its fixed point) is bitwise the fresh-circuit, full-length,
+    // 100-step oracle, or both reject the arc.
+    std::size_t fits = 0;
+    for (const tech::Technology* t : tech::allTechnologies()) {
+        const CellLibrary lib(*t);
+        for (const std::string& name : lib.names()) {
+            const cell::Cell& c = lib.cell(name);
+            for (const std::string& pin : c.inputNames()) {
+                for (const bool rising : {false, true}) {
+                    charlib::TheveninSpec spec;
+                    spec.cell = &c;
+                    spec.input = pin;
+                    spec.outputRising = rising;
+                    SCOPED_TRACE(t->name + " " + name + "/" + pin +
+                                 (rising ? " rising" : " falling"));
+                    charlib::TheveninModel model;
+                    try {
+                        model = charlib::characterizeThevenin(spec);
+                    } catch (const Error&) {
+                        EXPECT_THROW(testsupport::referenceThevenin(spec),
+                                     Error);
+                        continue;
+                    }
+                    expectSameModel(model, testsupport::referenceThevenin(spec));
+                    ++fits;
+                }
+            }
+        }
+    }
+    EXPECT_GT(fits, 50u);
 }
 
 TEST(BenchOracle, PropagationMatchesFreshCircuits) {
@@ -364,7 +430,7 @@ TEST(CharCacheConcurrency, TwoThreadsMatchSerialCharacterization) {
     }
 
     charlib::CharCache cache;
-    std::vector<std::shared_ptr<const la::Grid1d>> nrcOut(2);
+    std::vector<la::Grid1d> nrcOut(2);
     std::vector<std::shared_ptr<const charlib::TheveninModel>> thevOut(2);
     std::vector<std::thread> workers;
     for (int k = 0; k < 2; ++k) {
@@ -376,11 +442,54 @@ TEST(CharCacheConcurrency, TwoThreadsMatchSerialCharacterization) {
     for (auto& w : workers) w.join();
 
     for (int k = 0; k < 2; ++k) {
-        EXPECT_EQ(nrcOut[k]->ys(), charlib::characterizeNrc(nrcs[k]).ys());
+        EXPECT_EQ(nrcOut[k].ys(), charlib::characterizeNrc(nrcs[k]).ys());
         expectSameModel(*thevOut[k], charlib::characterizeThevenin(thevs[k]));
     }
-    EXPECT_EQ(cache.stats().nrcRuns, 2u);
+    EXPECT_EQ(cache.stats().nrcRuns, 4u);  // two widths per curve
     EXPECT_EQ(cache.stats().theveninRuns, 2u);
+}
+
+// ------------------------------------------------------ per-width NRCs
+
+TEST(CharCacheNrc, OneWidthRunsOnceAcrossThreads) {
+    // Single flight per width: two threads asking for the same width share
+    // one characterization, while two other widths of the same receiver
+    // are separate entries that characterize side by side.
+    charlib::NrcSpec spec;
+    spec.cell = &lib130().cell("NAND2_X1");
+    spec.input = "b";
+    spec.quietLevel = true;
+
+    charlib::CharCache cache;
+    double same[2] = {0.0, 0.0};
+    {
+        std::vector<std::thread> workers;
+        for (int k = 0; k < 2; ++k) {
+            workers.emplace_back(
+                [&, k] { same[k] = cache.nrcHeight(spec, 200e-12); });
+        }
+        for (auto& w : workers) w.join();
+    }
+    const double direct = charlib::nrcFailingHeight(spec, 200e-12);
+    EXPECT_EQ(same[0], direct);
+    EXPECT_EQ(same[1], direct);
+    EXPECT_EQ(cache.stats().nrcRuns, 1u);
+    EXPECT_EQ(cache.stats().nrcHits, 1u);
+
+    const double widths[2] = {40e-12, 900e-12};
+    double distinct[2] = {0.0, 0.0};
+    {
+        std::vector<std::thread> workers;
+        for (int k = 0; k < 2; ++k) {
+            workers.emplace_back(
+                [&, k] { distinct[k] = cache.nrcHeight(spec, widths[k]); });
+        }
+        for (auto& w : workers) w.join();
+    }
+    for (int k = 0; k < 2; ++k) {
+        EXPECT_EQ(distinct[k], charlib::nrcFailingHeight(spec, widths[k]));
+    }
+    EXPECT_EQ(cache.stats().nrcRuns, 3u);
 }
 
 }  // namespace

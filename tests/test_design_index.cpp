@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 
 #include "charlib/char_cache.hpp"
 #include "core/design_index.hpp"
 #include "core/sna.hpp"
 #include "testsupport/oracles.hpp"
+#include "testsupport/temp_cache.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -171,9 +173,23 @@ TEST(CharCacheDesign, OneCharacterizationPerCellAndLevel) {
     // levels: exactly 4 load-curve DC sweeps regardless of net count.
     EXPECT_EQ(stats.loadCurveRuns, 4u);
     EXPECT_GT(stats.loadCurveHits, 0u);
-    // Receivers are INV_X2 and INV_X1 at both quiet levels, probed on the
-    // canonical width grid: exactly 4 NRC characterizations.
-    EXPECT_EQ(stats.nrcRuns, 4u);
+    // Receivers are INV_X2 and INV_X1 at both quiet levels. Each NRC check
+    // reads the canonical grid widths bracketing its glitch, so each
+    // distinct bracket width of a (receiver, level) is characterized
+    // exactly once: the runs equal the width entries the cache holds, far
+    // fewer than the 4 full curves.
+    const testsupport::TempCacheFile file(testing::TempDir() +
+                                          "sna_design_index_nrc.snacache");
+    ASSERT_TRUE(cache.save(file.path()).ok);
+    std::ifstream in(file.path());
+    std::size_t bracketWidths = 0;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("entry nrcwidth ", 0) == 0) ++bracketWidths;
+    }
+    const std::size_t gridSize = core::NrcOptions{}.grid().size();
+    EXPECT_GT(bracketWidths, 0u);
+    EXPECT_LT(bracketWidths, 4 * gridSize);
+    EXPECT_EQ(stats.nrcRuns, bracketWidths);
     EXPECT_GT(stats.nrcHits, 0u);
     EXPECT_GT(stats.theveninRuns, 0u);
 

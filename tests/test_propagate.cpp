@@ -5,6 +5,7 @@
 // propagation-table characterization, and the NRC width-grid knob.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <sstream>
@@ -486,6 +487,61 @@ TEST(NrcGrid, ExactProbeMatchesThreeWidthCurve) {
     m.width = 1.5 * defaults.grid().back();
     EXPECT_EQ(core::nrcLimitFor(spec, m, nullptr, defaults),
               threeWidth(m.width));
+}
+
+TEST(NrcGrid, BracketLookupMatchesFullCurveInterpolation) {
+    // nrcLimitFor reads only the grid widths bracketing the glitch; cached
+    // or not, the value must be bitwise the interpolation of the full
+    // canonical curve, on nodes (where the upper width is not read), below
+    // the first width and between nodes, in both interpolation modes.
+    core::ClusterSpec spec;
+    spec.victim.receiverCell = "NAND2_X1";
+    spec.victim.outputLevel = true;
+    const core::NrcOptions logOpt;
+    core::NrcOptions linOpt;
+    linOpt.interp = core::NrcOptions::Interp::kLinearWidth;
+    const auto grid = logOpt.grid();
+    charlib::NrcSpec nrc;
+    nrc.cell = &cell::sharedLibrary(*spec.technology).cell("NAND2_X1");
+    nrc.input = "a";
+    nrc.quietLevel = true;
+    nrc.widths = grid;
+    const auto curve = charlib::characterizeNrc(nrc);
+    auto fullCurve = [&curve](double w, bool logInterp) {
+        const auto& xs = curve.xs();
+        const auto& ys = curve.ys();
+        if (w <= xs.front()) return ys.front();
+        std::size_t i = 0;
+        while (i + 2 < xs.size() && xs[i + 1] <= w) ++i;
+        const double t =
+            logInterp ? (std::log(w) - std::log(xs[i])) /
+                            (std::log(xs[i + 1]) - std::log(xs[i]))
+                      : (w - xs[i]) / (xs[i + 1] - xs[i]);
+        return ys[i] + t * (ys[i + 1] - ys[i]);
+    };
+
+    struct Case {
+        double width;
+        std::size_t widthsRead;
+    };
+    const Case cases[] = {{1e-12, 1},          {grid[0], 1},
+                          {grid[4], 1},        {grid.back(), 2},
+                          {0.5 * (grid[2] + grid[3]), 2},
+                          {0.99 * grid.back(), 2}};
+    for (const Case& c : cases) {
+        for (const bool logInterp : {true, false}) {
+            const core::NrcOptions* opt = logInterp ? &logOpt : &linOpt;
+            SCOPED_TRACE(std::to_string(c.width) + (logInterp ? " log" : " lin"));
+            wave::GlitchMetrics m;
+            m.width = c.width;
+            const double expected =
+                fullCurve(std::max(c.width, grid.front()), logInterp);
+            EXPECT_EQ(core::nrcLimitFor(spec, m, nullptr, *opt), expected);
+            charlib::CharCache cache;
+            EXPECT_EQ(core::nrcLimitFor(spec, m, &cache, *opt), expected);
+            EXPECT_EQ(cache.stats().nrcRuns, c.widthsRead);
+        }
+    }
 }
 
 }  // namespace

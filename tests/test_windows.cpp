@@ -528,9 +528,7 @@ TEST(Alignment, SpecCandidateWinsTiesOnDegenerateGrid) {
     // switch time is that same instant: the free candidate ties the init
     // candidate exactly (identical times, identical deterministic sim) and
     // must survive as the returned alignment. A zero-width refinement grid
-    // then re-probes only the incumbent's time — every probe ties, none may
-    // displace it, and consecutive duplicates dedupe to one evaluation per
-    // axis per round.
+    // then offers only the incumbent's time, which is never re-probed.
     core::ClusterSpec spec = oneAggressorSpec();
     spec.aggressors[0].inputSlew = 1.5e-9;  // init would be negative
     spec.aggressors[0].switchTime = 0.0;    // == the clamped init time
@@ -540,7 +538,8 @@ TEST(Alignment, SpecCandidateWinsTiesOnDegenerateGrid) {
     opt.window = 0.0;
     const auto res = core::findWorstAlignment(model, opt);
     EXPECT_EQ(res.aggressorSwitchTimes[0], 0.0);
-    EXPECT_EQ(res.evaluations, 2 + opt.rounds * 1);
+    // Only the two candidates run: every refinement point is the incumbent.
+    EXPECT_EQ(res.evaluations, 2);
 
     // The spec candidate also never loses outright: a spec alignment
     // strictly better than every probe is returned verbatim.
@@ -580,6 +579,66 @@ TEST(Alignment, DeadGlitchAxisSkipped) {
     EXPECT_EQ(rMoved.evaluations, rQuiet.evaluations);
     EXPECT_EQ(rMoved.worst.metrics.peak, rQuiet.worst.metrics.peak);
     EXPECT_EQ(rMoved.aggressorSwitchTimes, rQuiet.aggressorSwitchTimes);
+}
+
+void expectSameAlignment(const core::AlignmentResult& a,
+                         const core::AlignmentResult& b) {
+    EXPECT_EQ(a.aggressorSwitchTimes, b.aggressorSwitchTimes);
+    EXPECT_EQ(a.glitchTime, b.glitchTime);
+    EXPECT_EQ(a.worst.metrics.peak, b.worst.metrics.peak);
+    EXPECT_EQ(a.worst.metrics.peakTime, b.worst.metrics.peakTime);
+    EXPECT_EQ(a.worst.metrics.area, b.worst.metrics.area);
+    EXPECT_EQ(a.worst.metrics.width, b.worst.metrics.width);
+    EXPECT_EQ(a.worst.metrics.baseline, b.worst.metrics.baseline);
+    ASSERT_EQ(a.worst.waveform.size(), b.worst.waveform.size());
+    for (std::size_t i = 0; i < a.worst.waveform.size(); ++i) {
+        EXPECT_EQ(a.worst.waveform.samples()[i].t,
+                  b.worst.waveform.samples()[i].t);
+        EXPECT_EQ(a.worst.waveform.samples()[i].v,
+                  b.worst.waveform.samples()[i].v);
+    }
+}
+
+TEST(Alignment, SkippedIncumbentProbesMatchProbeEverythingSearch) {
+    // The search never re-probes the incumbent's own time on an axis; the
+    // result must be bitwise the probe-everything search's, windowed or
+    // not, with or without a propagated glitch, on fewer transients.
+    core::ClusterSpec quiet = oneAggressorSpec();
+    quiet.aggressors.push_back({});
+    quiet.aggressors[1].couplingScale = 0.7;
+    core::ClusterSpec glitched = quiet;
+    glitched.victim.glitchHeight = 0.35;
+    glitched.victim.glitchWidth = 200e-12;
+
+    core::AlignmentOptions free;
+    core::AlignmentOptions windowed;
+    windowed.aggressorWindows = {{500e-12, 900e-12}, {300e-12, 1.2e-9}};
+    core::AlignmentOptions excluded;
+    excluded.aggressorWindows = {{900e-12, 500e-12}, {400e-12, 700e-12}};
+    core::AlignmentOptions glitchWindowed = windowed;
+    glitchWindowed.glitchWindow = {600e-12, 1.0e-9};
+
+    struct Case {
+        const char* name;
+        const core::ClusterSpec* spec;
+        const core::AlignmentOptions* opt;
+    };
+    const Case cases[] = {
+        {"no glitch, unwindowed", &quiet, &free},
+        {"no glitch, windowed", &quiet, &windowed},
+        {"no glitch, one aggressor excluded", &quiet, &excluded},
+        {"glitch, unwindowed", &glitched, &free},
+        {"glitch, aggressor windows", &glitched, &windowed},
+        {"glitch, all windows", &glitched, &glitchWindowed},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const core::ClusterMacromodel model(*c.spec, fastModel());
+        const auto res = core::findWorstAlignment(model, *c.opt);
+        const auto ref = testsupport::referenceWorstAlignment(model, *c.opt);
+        expectSameAlignment(res, ref);
+        EXPECT_LT(res.evaluations, ref.evaluations);
+    }
 }
 
 TEST(Alignment, WindowConstraintsBoundAndExcludeAxes) {
